@@ -7,7 +7,7 @@
 // google-benchmark micro measurements of the native runtime's primitives:
 // the per-iteration detection compare at live-in widths 1..8 (the paper's
 // sjeng overhead discussion), speculative write-buffer operations, the
-// re-memoization planner, worker-pool invocation round trips, and the
+// re-memoization planner, worker-pool session round trips, and the
 // scheduler hot path (submit()/SpiceFuture round trips, solo and under a
 // contending client, plus the submitBatch() amortization of both). The
 // submit and batch round trips are additionally hand-timed into
@@ -124,23 +124,14 @@ void BM_PlannerCompute(benchmark::State &State) {
   }
 }
 
-void BM_WorkerPoolRoundTrip(benchmark::State &State) {
-  WorkerPool Pool(3);
-  std::atomic<uint64_t> Sink{0};
-  for (auto _ : State) {
-    Pool.launch(3, [&](unsigned I) { Sink.fetch_add(I); });
-    Pool.wait();
-  }
-}
-
 void BM_SessionRoundTrip(benchmark::State &State) {
   // Per-invocation cost of the shared-pool path: lease lanes, launch,
   // wait, release (what every parallel invocation pays underneath).
   WorkerPool Pool(3);
   std::atomic<uint64_t> Sink{0};
   for (auto _ : State) {
-    WorkerPool::SessionHandle S =
-        Pool.acquireSession(3, /*AllowStealing=*/true);
+    WorkerPool::SessionHandle S = Pool.tryAcquireSessionFor(
+        3, /*AllowStealing=*/true, std::this_thread::get_id());
     S->closeQueues();
     S->launch([&](unsigned I) { Sink.fetch_add(I); });
     S->wait();
@@ -417,7 +408,6 @@ BENCHMARK(BM_SpecBufferWrite);
 BENCHMARK(BM_SpecBufferReadOwnWrite);
 BENCHMARK(BM_SpecBufferValidate)->Arg(16)->Arg(256);
 BENCHMARK(BM_PlannerCompute);
-BENCHMARK(BM_WorkerPoolRoundTrip);
 BENCHMARK(BM_SessionRoundTrip);
 BENCHMARK(BM_SubmitRoundTrip);
 BENCHMARK(BM_SubmitRoundTripContended);

@@ -135,7 +135,6 @@ public:
   /// Effective-chunking snapshot (see SpiceLoop::tuning and
   /// docs/tuning.md).
   core::LoopTuning tuning() const { return Loop->tuning(); }
-  const core::SpiceConfig &config() const { return Loop->config(); }
   const core::LoopOptions &options() const { return Loop->options(); }
   core::SpiceRuntime &runtime() const { return Loop->runtime(); }
   const core::MemoizationPlan &currentPlan() const {

@@ -486,7 +486,7 @@ void Scheduler::runGrants() {
           WorkerPool::SessionHandle S = Pool.tryAcquireSessionFor(
               G.Lanes, E.R.AllowStealing, E.R.Owner, G.Node);
           if (!S)
-            break; // Raced with a blocking acquirer; retry on next release.
+            break; // Raced with another lease; retry on next release.
           if (E.Immediate)
             ++St.ImmediateGrants;
           else

@@ -10,10 +10,8 @@
 ///  * RuntimeConfig -- process-wide settings of a SpiceRuntime (thread
 ///    count, worker placement hooks). One runtime serves many loops.
 ///  * LoopOptions -- per-loop policy (chunk granularity via ChunkPolicy,
-///    conflict detection, work metric, recovery limits).
-///  * SpiceConfig -- the flat effective view of both (every knob of a
-///    registered loop in one struct, see mergedConfig()); it splits
-///    into the two scoped structs via runtime() / loop().
+///    conflict detection, work metric, recovery limits), passed to
+///    SpiceRuntime::makeLoop.
 ///
 /// Plus the statistics block every experiment reads (mis-speculation
 /// rates, squashes, load balance).
@@ -264,36 +262,6 @@ struct LoopOptions {
     return NumThreads <= 1 ? 1 : NumThreads * maxChunksPerThread();
   }
 };
-
-/// Flat effective view of one registered loop: literally the two scoped
-/// structs glued together by inheritance, so every knob is declared
-/// (and defaulted) exactly once and field access is flat (C.NumThreads,
-/// C.ChunksPerThread, ...). Produced by mergedConfig() and read back
-/// through SpiceLoop::config(); new code configures a SpiceRuntime and
-/// calls makeLoop(Traits, LoopOptions).
-struct SpiceConfig : RuntimeConfig, LoopOptions {
-  /// The runtime-wide half of this config.
-  RuntimeConfig runtime() const { return *this; }
-
-  /// The per-loop half of this config.
-  LoopOptions loop() const { return *this; }
-
-  /// Chunks of one invocation. A single-threaded configuration never
-  /// speculates, so oversubscription is meaningless there.
-  unsigned numChunks() const {
-    return LoopOptions::numChunks(NumThreads);
-  }
-};
-
-/// Inverse of SpiceConfig::runtime()/loop(): the flat effective view of
-/// a loop registered with \p Opts on a runtime configured by \p R.
-inline SpiceConfig mergedConfig(const RuntimeConfig &R,
-                                const LoopOptions &Opts) {
-  SpiceConfig C;
-  static_cast<RuntimeConfig &>(C) = R;
-  static_cast<LoopOptions &>(C) = Opts;
-  return C;
-}
 
 /// Counters accumulated across invocations of one SpiceLoop.
 ///

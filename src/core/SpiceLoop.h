@@ -142,21 +142,30 @@ public:
   /// preferred spelling is Runtime.makeLoop(T, Opts)). The runtime -- and
   /// its shared pool -- must outlive the loop.
   SpiceLoop(Traits &T, SpiceRuntime &Runtime, const LoopOptions &Opts = {})
-      : SpiceLoop(T, Opts, /*Owned=*/nullptr, &Runtime) {}
-
-  /// Legacy constructor: builds a dedicated single-loop runtime from
-  /// \p Config (one private pool per loop, as before the SpiceRuntime
-  /// split). Deprecated -- it notes loudly at runtime (once per process)
-  /// and will be removed; create one SpiceRuntime and register loops
-  /// with SpiceRuntime::makeLoop instead.
-  SpiceLoop(Traits &T, const SpiceConfig &Config)
-      : SpiceLoop(T, Config.loop(),
-                  std::make_unique<SpiceRuntime>(Config.runtime())) {
-    reportDeprecationNote(
-        "SpiceLoop(Traits&, SpiceConfig) builds a private single-loop "
-        "runtime and is deprecated; construct a SpiceRuntime and use "
-        "SpiceRuntime::makeLoop(traits, LoopOptions) so loops share one "
-        "worker pool");
+      : T(T), RT(Runtime), Opts(validated(Opts)),
+        NumChunks(Opts.numChunks(RT.numThreads())), PlanChunks(NumChunks),
+        Sampler(std::max(Opts.BootstrapCapacity,
+                         static_cast<size_t>(2 * NumChunks))),
+        SVA(NumChunks > 1 ? NumChunks - 1 : 0), RowValid(SVA.size(), 0),
+        Buffers(NumChunks),
+        AbortFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
+        DoneFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
+        Results(NumChunks) {
+    BufPtrs.reserve(Buffers.size());
+    for (SpecWriteBuffer &B : Buffers)
+      BufPtrs.push_back(&B);
+    // NumChunks (and every invocation-sized structure above) is sized
+    // for the policy's largest k; adaptive loops start at MinK and the
+    // controller moves PlanChunks within the allocation.
+    if (Opts.adaptiveChunking() && RT.numThreads() > 1) {
+      ChunkControllerConfig CC;
+      CC.MinK = Opts.Chunking.MinK;
+      CC.MaxK = Opts.Chunking.MaxK;
+      CC.EpochInvocations = Opts.Chunking.EpochInvocations;
+      Controller = std::make_unique<ChunkController>(CC);
+      setEffectiveK(Controller->currentK());
+    }
+    RT.registerLoop();
   }
 
   ~SpiceLoop() {
@@ -164,8 +173,7 @@ public:
       reportFatalError("destroying a SpiceLoop while a submitted "
                        "invocation is unresolved; get()/wait() its "
                        "SpiceFuture (or destroy the future) first");
-    if (RT)
-      RT->unregisterLoop();
+    RT.unregisterLoop();
   }
 
   SpiceLoop(const SpiceLoop &) = delete;
@@ -261,7 +269,7 @@ public:
     const uint64_t Parallel =
         Stats.Invocations - Stats.SequentialInvocations;
     const unsigned Workers =
-        Config.NumThreads > 1 ? Config.NumThreads - 1 : 1;
+        RT.numThreads() > 1 ? RT.numThreads() - 1 : 1;
     Tune.LaneShare =
         Parallel ? static_cast<double>(Stats.GrantedLanes) /
                        (static_cast<double>(Parallel) * Workers)
@@ -275,15 +283,11 @@ public:
     return Tune;
   }
 
-  /// Effective flat view of this loop's configuration: the runtime's
-  /// thread count merged with the per-loop options.
-  const SpiceConfig &config() const { return Config; }
-
-  /// The per-loop half of the configuration.
+  /// The per-loop options this loop was registered with.
   const LoopOptions &options() const { return Opts; }
 
   /// The runtime this loop is registered on.
-  SpiceRuntime &runtime() const { return *RT; }
+  SpiceRuntime &runtime() const { return RT; }
 
   /// Current memoization plan (exposed for tests and load-balance benches).
   const MemoizationPlan &currentPlan() const { return Plan; }
@@ -340,7 +344,7 @@ private:
 
   uint64_t weightOf(const LiveIn &LI) {
     if constexpr (HasWeight<Traits, LiveIn>) {
-      if (Config.UseWeightedWork)
+      if (Opts.UseWeightedWork)
         return T.weight(LI);
     }
     return 1;
@@ -361,7 +365,7 @@ private:
   /// Runs one chunk. \p Target is the successor's predicted start (null
   /// for the last active chunk); \p ChunkIdx is 0 for the non-speculative
   /// main chunk. \p IterBudget caps speculative iterations (normally
-  /// Config.MaxSpecIterations; tighter for main-helped chunks, see
+  /// Opts.MaxSpecIterations; tighter for main-helped chunks, see
   /// helpIterBudget()).
   ChunkResult runChunk(LiveIn LI, const LiveIn *Target, unsigned ChunkIdx,
                        MemoCursor Cursor, uint64_t IterBudget) {
@@ -473,20 +477,20 @@ private:
   /// executes inline. Main is the only writer of the abort flags, so
   /// while it runs a chunk nobody can squash that chunk; an unbounded
   /// mis-predicted chunk (stale-pointer cycle) would stall resolution
-  /// for Config.MaxSpecIterations. A healthy chunk is about
+  /// for Opts.MaxSpecIterations. A healthy chunk is about
   /// TotalWork/NumChunks work units (>= its iterations, weights are
   /// >= 1), so 4x that plus slack never cuts real work short; a false
   /// Runaway simply routes the chunk through the normal recovery
   /// requeue -- executed with the full budget once off the main thread.
   uint64_t helpIterBudget() const {
     if (Plan.TotalWork == 0)
-      return Config.MaxSpecIterations;
+      return Opts.MaxSpecIterations;
     // Divide by the plan's own chunk count: under adaptive chunking the
     // running invocation executes the chunks its plan cut, which may
     // differ from the freshly chosen PlanChunks.
     const uint64_t Chunks = std::max<uint64_t>(1, Plan.PerThread.size());
     uint64_t Budget = 4 * (Plan.TotalWork / Chunks) + 1024;
-    return std::min(Budget, Config.MaxSpecIterations);
+    return std::min(Budget, Opts.MaxSpecIterations);
   }
 
   class AsyncInvocation;
@@ -503,7 +507,7 @@ private:
                        "runtime)");
     const size_t N = Starts.size();
     Stats.Invocations += N;
-    RT->noteSubmitted();
+    RT.noteSubmitted();
     auto Inv = std::make_unique<AsyncInvocation>(*this, std::move(Starts));
     unsigned ActiveChunks = countLaunchableSpecChunks();
     if (ActiveChunks == 0) {
@@ -519,18 +523,18 @@ private:
       Scheduler::Request R;
       R.RequestedLanes = ActiveChunks;
       R.AllowStealing = effectiveK() > 1;
-      R.Priority = Config.Priority;
+      R.Priority = Opts.Priority;
       R.Owner = std::this_thread::get_id();
       R.Invocations = static_cast<unsigned>(N);
-      R.DeadlineMicros = Config.SubmitDeadlineMicros;
+      R.DeadlineMicros = Opts.SubmitDeadlineMicros;
       R.LoopTag = this;
-      R.LoopCap = Config.MaxQueuedSubmissions;
+      R.LoopCap = Opts.MaxQueuedSubmissions;
       R.OnGrant = [I = Inv.get()](WorkerPool::SessionHandle S,
                                   uint64_t Micros) {
         I->onGrant(std::move(S), Micros);
       };
       R.OnDrop = [I = Inv.get()] { I->onDropped(); };
-      Inv->Ticket = RT->scheduler().submit(std::move(R));
+      Inv->Ticket = RT.scheduler().submit(std::move(R));
       if (Inv->Ticket == 0)
         // Admission control shed the request (queue cap under Reject,
         // or DeadlineDrop with a still-full queue): no callback will
@@ -648,8 +652,8 @@ private:
     void awaitGrant() {
       std::unique_lock<std::mutex> Lock(M);
       if (Phase.load(std::memory_order_relaxed) == InvPhase::Queued &&
-          L.RT->pool().callerHoldsEntirePool() &&
-          L.RT->scheduler().isQueued(Ticket))
+          L.RT.pool().callerHoldsEntirePool() &&
+          L.RT.scheduler().isQueued(Ticket))
         reportFatalError(
             "waiting on a queued SpiceFuture would deadlock: this "
             "thread's sessions lease every worker of the pool, so the "
@@ -735,7 +739,7 @@ private:
     void finish() noexcept {
       Session.reset();
       L.InvokeInFlight.store(false, std::memory_order_release);
-      L.RT->noteResolved();
+      L.RT.noteResolved();
       Phase.store(InvPhase::Resolved, std::memory_order_release);
     }
 
@@ -785,12 +789,12 @@ private:
   /// chunk 0, which buffers nothing) the loop-owned buffers are used
   /// unchanged and this is a no-op. Balanced by releaseChunkBuffers.
   void bindChunkBuffers(unsigned ActiveChunks, WorkerSession *S) {
-    if (!S || S->lanes() == 0 || !RT->pool().hasBufferShards())
+    if (!S || S->lanes() == 0 || !RT.pool().hasBufferShards())
       return;
     const unsigned Lanes = S->lanes();
     for (unsigned C = 1; C <= ActiveChunks; ++C) {
       unsigned Node = S->laneNode(homeLane(C, Lanes));
-      DrawnBufs.emplace_back(Node, RT->pool().acquireSpecBuffer(Node));
+      DrawnBufs.emplace_back(Node, RT.pool().acquireSpecBuffer(Node));
       BufPtrs[C] = DrawnBufs.back().second;
     }
   }
@@ -806,7 +810,7 @@ private:
       BufPtrs[C] = &Buffers[C];
     for (auto &[Node, B] : DrawnBufs) {
       B->clear();
-      RT->pool().releaseSpecBuffer(Node, B);
+      RT.pool().releaseSpecBuffer(Node, B);
     }
     DrawnBufs.clear();
   }
@@ -829,7 +833,7 @@ private:
       bool Stolen;
       while (Launch.S->acquireChunk(Lane, C, Stolen))
         executeChunk(C, PredArena, Launch.ActiveChunks, Stolen,
-                     Config.MaxSpecIterations);
+                     Opts.MaxSpecIterations);
     });
   }
 
@@ -876,7 +880,7 @@ private:
       }
     } Joiner{*this, Session, ActiveChunks};
     Results[0] = runChunk(Start, &Pred[0], /*ChunkIdx=*/0,
-                          cursorFor(0), Config.MaxSpecIterations);
+                          cursorFor(0), Opts.MaxSpecIterations);
 
     // Waits for chunk C to finish; in oversubscribed mode the main thread
     // makes itself useful by draining pending chunks while it waits. A
@@ -889,7 +893,7 @@ private:
         if (Oversubscribed && Session.helpPopFront(P)) {
           ++Stats.MainHelpedChunks;
           executeChunk(P, Pred, ActiveChunks, /*Stolen=*/true,
-                       P == C ? Config.MaxSpecIterations
+                       P == C ? Opts.MaxSpecIterations
                               : helpIterBudget());
         } else {
           std::this_thread::yield();
@@ -925,13 +929,13 @@ private:
       ChunkResult &R = *Results[J];
       bool Healthy =
           R.Status == ChunkStatus::Matched || R.Status == ChunkStatus::Exited;
-      bool ReadsOk = !Config.EnableConflictDetection ||
+      bool ReadsOk = !Opts.EnableConflictDetection ||
                      specBuf(J).validateReads();
       if (!Healthy || !ReadsOk) {
         if (!ReadsOk)
           ++Stats.ConflictSquashes;
         AnyFailure = true;
-        if (Oversubscribed && Requeues[J] < Config.MaxRecoveryRequeues) {
+        if (Oversubscribed && Requeues[J] < Opts.MaxRecoveryRequeues) {
           // Steal-aware recovery: discard the failed execution and
           // re-enqueue the chunk from its validated start. Successors
           // keep running -- their own commit-time validation decides
@@ -1059,7 +1063,7 @@ private:
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - ResolveStart)
             .count());
-    RT->scheduler().noteThroughput(
+    RT.scheduler().noteThroughput(
         this, Stats.TotalIterations - Before.TotalIterations, Lanes,
         ResolveMicros);
     if (Controller) {
@@ -1120,7 +1124,7 @@ private:
   /// otherwise.
   unsigned effectiveK() const {
     return Controller ? Controller->currentK()
-                      : Config.maxChunksPerThread();
+                      : Opts.maxChunksPerThread();
   }
 
   /// Applies a controller decision: retarget the next plan at \p K
@@ -1133,7 +1137,7 @@ private:
   /// granularity takes full effect one invocation later.
   void setEffectiveK(unsigned K) {
     const unsigned NewPlanChunks = std::min(
-        NumChunks, std::max(1u, Config.NumThreads * std::max(1u, K)));
+        NumChunks, std::max(1u, RT.numThreads() * std::max(1u, K)));
     if (NewPlanChunks == PlanChunks)
       return;
     if (NewPlanChunks < PlanChunks)
@@ -1145,9 +1149,9 @@ private:
 
   /// Central predictor component: plan the next invocation's memoization.
   void planNext(const std::vector<uint64_t> &Work) {
-    if (Config.NumThreads < 2)
+    if (RT.numThreads() < 2)
       return;
-    if (!Config.RememoizeEveryInvocation && !Plan.empty() &&
+    if (!Opts.RememoizeEveryInvocation && !Plan.empty() &&
         Plan.PerThread.size() == PlanChunks)
       return; // Memoize-once: keep the plan while the granularity holds.
               // A controller retarget (PlanChunks moved) still recuts --
@@ -1173,40 +1177,6 @@ private:
     planMemoizationInto(Padded, PlanChunks, Plan);
   }
 
-  /// Delegation target of both public constructors: \p Owned is the
-  /// private runtime of a legacy-constructed loop (null when registering
-  /// on a shared one).
-  SpiceLoop(Traits &T, const LoopOptions &Opts,
-            std::unique_ptr<SpiceRuntime> Owned,
-            SpiceRuntime *Shared = nullptr)
-      : T(T), OwnedRT(std::move(Owned)),
-        RT(Shared ? Shared : OwnedRT.get()), Opts(validated(Opts)),
-        Config(mergedConfig(RT->config(), this->Opts)),
-        NumChunks(Config.numChunks()), PlanChunks(NumChunks),
-        Sampler(std::max(Config.BootstrapCapacity,
-                         static_cast<size_t>(2 * NumChunks))),
-        SVA(NumChunks > 1 ? NumChunks - 1 : 0), RowValid(SVA.size(), 0),
-        Buffers(NumChunks),
-        AbortFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
-        DoneFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
-        Results(NumChunks) {
-    BufPtrs.reserve(Buffers.size());
-    for (SpecWriteBuffer &B : Buffers)
-      BufPtrs.push_back(&B);
-    // NumChunks (and every invocation-sized structure above) is sized
-    // for the policy's largest k; adaptive loops start at MinK and the
-    // controller moves PlanChunks within the allocation.
-    if (Config.adaptiveChunking() && Config.NumThreads > 1) {
-      ChunkControllerConfig CC;
-      CC.MinK = Config.Chunking.MinK;
-      CC.MaxK = Config.Chunking.MaxK;
-      CC.EpochInvocations = Config.Chunking.EpochInvocations;
-      Controller = std::make_unique<ChunkController>(CC);
-      setEffectiveK(Controller->currentK());
-    }
-    RT->registerLoop();
-  }
-
   /// Registration-time validation of the per-loop options; fatal on a
   /// configuration that previously fell back silently.
   static const LoopOptions &validated(const LoopOptions &Opts) {
@@ -1227,10 +1197,8 @@ private:
   }
 
   Traits &T;
-  std::unique_ptr<SpiceRuntime> OwnedRT; ///< Legacy ctor only.
-  SpiceRuntime *RT;                      ///< Never null.
+  SpiceRuntime &RT;
   LoopOptions Opts;
-  SpiceConfig Config; ///< Effective view: runtime threads + Opts.
   unsigned NumChunks; ///< Allocation bound: chunks at the largest k.
   /// Chunks the next invocation's memoization plan targets (== NumChunks
   /// for static policies; moved by the controller inside the allocation

@@ -100,7 +100,7 @@ public:
   const RuntimeConfig &config() const { return Config; }
 
   /// The shared worker pool (NumThreads - 1 workers). Invocations lease
-  /// lanes from it via the scheduler (or acquireSession directly).
+  /// lanes from it via the scheduler.
   WorkerPool &pool() { return Pool; }
 
   /// The admission scheduler deciding which queued invocation freed

@@ -352,72 +352,18 @@ void WorkerPool::workerMain(unsigned Index) {
       WorkerSlot &Slot = Slots[Index];
       Slot.HasWork = false;
       Session = Slot.Session;
-      Slot.Session = nullptr;
       Lane = Slot.Lane;
     }
-    // The job lives once in the session (or LegacyJob): written under
-    // the mutex we just held, and not rewritten until after wait(), so
-    // calling it here without a copy is ordered and race-free.
-    (Session ? Session->Job : LegacyJob)(Lane);
+    // The job lives once in the session: written under the mutex we
+    // just held, and not rewritten until after wait(), so calling it
+    // here without a copy is ordered and race-free.
+    Session->Job(Lane);
     {
       std::lock_guard<std::mutex> Lock(Mutex);
-      unsigned &Remaining = Session ? Session->Remaining : LegacyRemaining;
-      --Remaining;
+      --Session->Remaining;
     }
     DoneCV.notify_all();
   }
-}
-
-WorkerPool::SessionHandle WorkerPool::acquireSession(unsigned MaxLanes,
-                                                     bool AllowStealing) {
-  assert(!Threads.empty() && "acquireSession on an empty pool");
-  assert(MaxLanes >= 1 && "a session needs at least one lane");
-  SessionHandle S;
-  {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    // Self-deadlock diagnostic: when *every* worker is leased by the
-    // calling thread itself, only this thread's own stack could ever
-    // free one, and it is about to park -- certain deadlock (a Traits
-    // callable invoking a second loop of the same runtime). If other
-    // threads hold any of the lanes, waiting is legitimate: they will
-    // release. (Mutual nested waits between two exhausting clients are
-    // still possible and undetected -- this check only refuses the
-    // provable case.)
-    auto Held = WorkersHeldByThread.find(std::this_thread::get_id());
-    if (FreeCount == 0 && Held != WorkersHeldByThread.end() &&
-        Held->second == Slots.size())
-      reportFatalError("WorkerPool::acquireSession would deadlock: this "
-                       "thread has leased every worker of the pool and "
-                       "no other thread can free one (nested loop "
-                       "invocation on one runtime from inside a loop "
-                       "body?)");
-    LeaseCV.wait(Lock, [this] { return FreeCount > 0; });
-    // Symmetric half of the no-mixing rule (launch checks Leased): a
-    // legacy launch does not lease its workers, so a session acquired
-    // now could clobber a legacy worker's mailbox. Re-checked after the
-    // wait so a launch that started while we were parked is caught too;
-    // we hold the mutex from here through the leasing, so a later
-    // launch runs into its own Leased check instead.
-    assert(!LegacyInFlight &&
-           "acquireSession during an in-flight legacy launch");
-    if (LegacyInFlight)
-      reportFatalError("WorkerPool::acquireSession called while a legacy "
-                       "launch is in flight; legacy launches may not be "
-                       "mixed with concurrent sessions");
-    unsigned Take = std::min(FreeCount, MaxLanes);
-    int StartNode = -1;
-    if (localityActive()) {
-      auto [Node, Trimmed] = chooseStartNodeLocked(Take, /*Preferred=*/-1);
-      StartNode = static_cast<int>(Node);
-      Take = Trimmed;
-    }
-    S = SessionHandle(takeSessionLocked(StartNode < 0 ? 0 : StartNode));
-    leaseLocked(*S, Take, std::this_thread::get_id(), StartNode);
-  }
-  S->Deques.reset(S->lanes(), AllowStealing);
-  if (localityActive())
-    S->Deques.setLocality(*Place, S->Workers);
-  return S;
 }
 
 WorkerPool::SessionHandle
@@ -430,14 +376,6 @@ WorkerPool::tryAcquireSessionFor(unsigned MaxLanes, bool AllowStealing,
     std::lock_guard<std::mutex> Lock(Mutex);
     if (FreeCount == 0)
       return nullptr;
-    // Same no-mixing rule as the blocking path: a session leased during
-    // a legacy launch could clobber a legacy worker's mailbox.
-    assert(!LegacyInFlight &&
-           "tryAcquireSessionFor during an in-flight legacy launch");
-    if (LegacyInFlight)
-      reportFatalError("WorkerPool::tryAcquireSessionFor called while a "
-                       "legacy launch is in flight; legacy launches may "
-                       "not be mixed with concurrent sessions");
     unsigned Take = std::min(FreeCount, MaxLanes);
     int StartNode = -1;
     if (localityActive()) {
@@ -600,8 +538,6 @@ void WorkerPool::recycleSession(WorkerSession *S) {
     // very release can reuse the session it is releasing.
     FreeSessionShards[Shard].push_back(S);
   }
-  if (Released > 0)
-    LeaseCV.notify_all();
   // Deferred-grant path: offer the freed lanes to the scheduler's
   // admission queue. An empty (failed-tryAcquire) release freed nothing
   // and must not re-enter the scheduler.
@@ -637,10 +573,8 @@ SpecWriteBuffer *WorkerPool::acquireSpecBuffer(unsigned Node) {
     if (!Shard.Free.empty()) {
       SpecWriteBuffer *B = Shard.Free.back();
       Shard.Free.pop_back();
-      ++Shard.Hits;
       return B;
     }
-    ++Shard.Created;
   }
   return new SpecWriteBuffer();
 }
@@ -652,80 +586,3 @@ void WorkerPool::releaseSpecBuffer(unsigned Node, SpecWriteBuffer *B) {
   std::lock_guard<std::mutex> Lock(Shard.M);
   Shard.Free.push_back(B);
 }
-
-NodeBufferPoolStats WorkerPool::nodeBufferStats() const {
-  NodeBufferPoolStats Agg;
-  for (const std::unique_ptr<BufferShard> &Shard : BufferShards) {
-    std::lock_guard<std::mutex> Lock(Shard->M);
-    Agg.BuffersCreated += Shard->Created;
-    Agg.BufferPoolHits += Shard->Hits;
-  }
-  return Agg;
-}
-
-//===----------------------------------------------------------------------===//
-// Legacy one-shot API
-//===----------------------------------------------------------------------===//
-
-void WorkerPool::launch(unsigned Count, std::function<void(unsigned)> Job) {
-  assert(Count <= Threads.size() && "launch exceeds pool size");
-  if (Count > Threads.size())
-    reportFatalError("WorkerPool::launch count exceeds the pool size");
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    assert(!LegacyInFlight && "re-entrant WorkerPool::launch without wait()");
-    if (LegacyInFlight)
-      reportFatalError("WorkerPool::launch called while a previous launch "
-                       "is still in flight; call wait() first");
-    LegacyInFlight = true;
-    LegacyRemaining = Count;
-    LegacyJob = std::move(Job);
-    for (unsigned I = 0; I != Count; ++I) {
-      WorkerSlot &Slot = Slots[I];
-      // The legacy API may not be mixed with concurrent sessions: it
-      // would overwrite a leased worker's mailbox and wedge the session.
-      assert(!Slot.Leased && !Slot.HasWork &&
-             "WorkerPool::launch on a worker leased to a session");
-      if (Slot.Leased || Slot.HasWork)
-        reportFatalError("WorkerPool::launch called while workers are "
-                         "leased to a session; legacy launches may not "
-                         "be mixed with concurrent sessions");
-      Slot.HasWork = true;
-      Slot.Session = nullptr;
-      Slot.Lane = I; // Legacy jobs receive the worker index.
-    }
-  }
-  if (Count > 0)
-    WakeCV.notify_all();
-}
-
-void WorkerPool::wait() {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  DoneCV.wait(Lock, [this] { return LegacyRemaining == 0; });
-  LegacyInFlight = false;
-}
-
-void WorkerPool::resetQueues(unsigned NumLanes, bool AllowStealing) {
-  assert(!LegacyInFlight && "resetQueues during an in-flight launch");
-  LegacyDeques.reset(NumLanes, AllowStealing);
-}
-
-void WorkerPool::pushChunk(unsigned Lane, uint32_t Chunk) {
-  LegacyDeques.push(Lane, Chunk);
-}
-
-void WorkerPool::pushChunkFront(unsigned Lane, uint32_t Chunk) {
-  LegacyDeques.pushFront(Lane, Chunk);
-}
-
-void WorkerPool::closeQueues() { LegacyDeques.close(); }
-
-bool WorkerPool::acquireChunk(unsigned Lane, uint32_t &Chunk, bool &Stolen) {
-  return LegacyDeques.acquire(Lane, Chunk, Stolen);
-}
-
-bool WorkerPool::helpPopFront(uint32_t &Chunk) {
-  return LegacyDeques.helpPopFront(Chunk);
-}
-
-size_t WorkerPool::pendingChunks() const { return LegacyDeques.pending(); }

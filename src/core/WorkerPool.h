@@ -9,19 +9,24 @@
 /// with a new_invocation token per loop invocation, avoiding per-invocation
 /// spawn cost. WorkerPool reproduces that: N persistent threads parked on a
 /// condition variable. One pool is shared by every loop of a SpiceRuntime,
-/// so an invocation no longer owns the threads -- it *leases* them:
+/// so an invocation does not own the threads -- it *leases* them, through
+/// the runtime's Scheduler (core/Scheduler.h):
 ///
-///   WorkerPool::SessionHandle S = Pool.acquireSession(MaxLanes, Stealing);
+///   WorkerPool::SessionHandle S =
+///       Pool.tryAcquireSessionFor(MaxLanes, Stealing, Owner);
 ///   for (...) S->pushChunk(Lane, Chunk);
 ///   S->launch([&](unsigned Lane) { ... S->acquireChunk(Lane, ...) ... });
 ///   ... S->helpPopFront(...) / S->pushChunkFront(...) ...
 ///   S->closeQueues();
 ///   S->wait();            // Handle destruction returns the lanes.
 ///
-/// acquireSession() partitions the free workers: it hands out up to
-/// MaxLanes of them (blocking only while none are free), so concurrent
-/// invocations -- of different loops, from different client threads --
-/// split the pool instead of serializing on it. Each session owns its own
+/// tryAcquireSessionFor() partitions the free workers: it hands out up to
+/// MaxLanes of them, so concurrent invocations -- of different loops, from
+/// different client threads -- split the pool instead of serializing on
+/// it. It never blocks: with no free worker it returns null, and the
+/// Scheduler queues the request until a release (setReleaseHook) frees a
+/// lane. Waiting for lanes, and the self-deadlock check that guards the
+/// wait, therefore live in the Scheduler. Each session owns its own
 /// chunk deques (one lane per leased worker): a worker pops its own lane
 /// from the front (oldest, least speculative chunk first) and, when its
 /// lane is empty, steals from the back of the session's other lanes (the
@@ -44,10 +49,6 @@
 /// session or buffer is warm in the right node's cache. Without a
 /// placement -- or on a single node -- none of it engages and every
 /// path below is bit-for-bit the topology-blind behavior.
-///
-/// The pre-session one-shot API (launch/wait + pool-level queues) is kept
-/// for single-client users and tests; it drives workers 0..Count-1
-/// directly and may not be mixed with concurrent sessions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,8 +78,7 @@ class WorkerPool;
 namespace detail {
 
 /// A set of per-lane chunk deques with optional back-stealing. One
-/// instance per session (and one pool-level instance for the legacy
-/// API); all methods are thread-safe against each other.
+/// instance per session; all methods are thread-safe against each other.
 class ChunkDeques {
 public:
   /// Worker-to-worker steal counts by victim locality, accumulated
@@ -176,9 +176,9 @@ private:
 
 /// A lease of worker lanes for one invocation: up to MaxLanes workers,
 /// partitioned off the shared pool, plus this invocation's private chunk
-/// deques. Created by WorkerPool::acquireSession(); destroying the handle
-/// returns the workers to the pool. One client thread drives a session
-/// (push/launch/help/close/wait); the leased workers run its job.
+/// deques. Created by WorkerPool::tryAcquireSessionFor(); destroying the
+/// handle returns the workers to the pool. One client thread drives a
+/// session (push/launch/help/close/wait); the leased workers run its job.
 class WorkerSession {
 public:
   /// SessionHandle deleter: returns the lanes and parks the session
@@ -211,7 +211,7 @@ public:
   void wait();
 
   /// This session's chunk deques (see ChunkDeques; one lane per leased
-  /// worker, reset open by acquireSession).
+  /// worker, reset open by tryAcquireSessionFor).
   void pushChunk(unsigned Lane, uint32_t Chunk) { Deques.push(Lane, Chunk); }
   void pushChunkFront(unsigned Lane, uint32_t Chunk) {
     Deques.pushFront(Lane, Chunk);
@@ -263,19 +263,8 @@ struct SessionPoolStats {
   uint64_t SessionPoolHits = 0;
 };
 
-/// Counters of the pool's per-node SpecWriteBuffer freelist shards
-/// (multi-node placement only; see WorkerPool::acquireSpecBuffer).
-/// Aggregated across shards by nodeBufferStats().
-struct NodeBufferPoolStats {
-  /// Buffers allocated (shard freelist misses).
-  uint64_t BuffersCreated = 0;
-  /// Draws served by a warm buffer from the requested node's shard.
-  uint64_t BufferPoolHits = 0;
-};
-
 /// Persistent pool of worker threads shared by every loop of a runtime.
-/// Invocations lease lanes through sessions; the legacy one-shot API
-/// (launch/wait + pool-level queues) drives workers 0..Count-1 directly.
+/// Invocations lease lanes through sessions.
 class WorkerPool {
 public:
   /// Spawns \p NumWorkers threads; they park immediately. \p
@@ -328,23 +317,19 @@ public:
   using SessionHandle =
       std::unique_ptr<WorkerSession, WorkerSession::Recycler>;
 
-  /// Leases min(free workers, MaxLanes) workers as a session, blocking
-  /// while no worker is free (concurrent invocations partition the pool;
-  /// when they want more lanes than exist, later acquirers wait for the
-  /// earlier ones to release). The session's deques are reset open with
-  /// one lane per leased worker. Requires a non-empty pool and MaxLanes
-  /// >= 1. Destroying the handle returns the lanes. Under a multi-node
+  /// Leases min(free workers, MaxLanes) workers as a session, or returns
+  /// null when no worker is free (the Scheduler then queues the request
+  /// for a deferred grant). The session's deques are reset open with one
+  /// lane per leased worker. Requires a non-empty pool and MaxLanes >= 1.
+  /// Destroying the handle returns the lanes. Under a multi-node
   /// placement the lease is node-packed: it comes from one node when a
   /// node has enough free lanes, is trimmed to the largest free node
   /// block when that block covers at least half the ask, and spans
   /// nodes only as a last resort.
-  SessionHandle acquireSession(unsigned MaxLanes, bool AllowStealing);
-
-  /// Non-blocking half of the deferred-grant path: leases min(free,
-  /// MaxLanes) workers, or returns null when no worker is free. The
-  /// lease is accounted to \p Owner -- the thread that will *drive* the
-  /// session -- rather than the calling thread, because a deferred grant
-  /// executes on whichever thread released the lanes (see
+  ///
+  /// The lease is accounted to \p Owner -- the thread that will *drive*
+  /// the session -- rather than the calling thread, because a deferred
+  /// grant executes on whichever thread released the lanes (see
   /// core/Scheduler.h). Self-deadlock diagnostics and the pool's
   /// held-lane bookkeeping key off that owner. \p PreferredNode is the
   /// Scheduler's node-packing hint (Grant::Node): the lease starts on
@@ -353,17 +338,10 @@ public:
                                      std::thread::id Owner,
                                      int PreferredNode = -1);
 
-  /// tryAcquireSessionFor with the calling thread as the owner.
-  SessionHandle tryAcquireSession(unsigned MaxLanes, bool AllowStealing) {
-    return tryAcquireSessionFor(MaxLanes, AllowStealing,
-                                std::this_thread::get_id());
-  }
-
   /// Hook invoked (outside the pool mutex) after every session release:
   /// the deferred-grant path. The runtime's Scheduler registers itself
-  /// here so freed lanes are offered to queued invocations instead of
-  /// only waking blocked acquireSession callers. Must be set before any
-  /// session exists and never reassigned afterwards.
+  /// here so freed lanes are offered to queued invocations. Must be set
+  /// before any session exists and never reassigned afterwards.
   void setReleaseHook(std::function<void()> Hook);
 
   /// True when the calling thread's sessions lease *every* worker of the
@@ -401,35 +379,6 @@ public:
   /// the warm memory stays with that node's workers.
   void releaseSpecBuffer(unsigned Node, SpecWriteBuffer *B);
 
-  /// Aggregated shard counters (see NodeBufferPoolStats).
-  NodeBufferPoolStats nodeBufferStats() const;
-
-  //===--------------------------------------------------------------------===//
-  // Legacy one-shot API: drives workers 0..Count-1 with no lease. May not
-  // be mixed with concurrent sessions.
-  //===--------------------------------------------------------------------===//
-
-  /// Wakes workers 0..Count-1 to run Job(WorkerIndex). The calling thread
-  /// does not participate and may do its own chunk concurrently. A launch
-  /// must be paired with wait() before the next launch; a re-entrant
-  /// launch is a protocol violation and aborts with a diagnostic (it would
-  /// otherwise clobber the in-flight job under the workers' feet).
-  void launch(unsigned Count, std::function<void(unsigned)> Job);
-
-  /// Blocks until every worker of the current launch has finished.
-  void wait();
-
-  /// Pool-level chunk deques backing the legacy API; semantics as in
-  /// ChunkDeques. resetQueues must not be called between launch() and
-  /// wait().
-  void resetQueues(unsigned NumLanes, bool AllowStealing = true);
-  void pushChunk(unsigned Lane, uint32_t Chunk);
-  void pushChunkFront(unsigned Lane, uint32_t Chunk);
-  void closeQueues();
-  bool acquireChunk(unsigned Lane, uint32_t &Chunk, bool &Stolen);
-  bool helpPopFront(uint32_t &Chunk);
-  size_t pendingChunks() const;
-
 private:
   friend class WorkerSession;
 
@@ -466,8 +415,8 @@ private:
                    int StartNode);
 
   /// Per-worker mailbox (guarded by Mutex). A worker runs at most one
-  /// job at a time: Session is null for legacy launches, and the job
-  /// itself lives once in the session (or in LegacyJob).
+  /// job at a time: Session is the session whose job it runs next, and
+  /// the job itself lives once in that session.
   struct WorkerSlot {
     bool HasWork = false;
     WorkerSession *Session = nullptr;
@@ -480,8 +429,6 @@ private:
   struct BufferShard {
     std::mutex M;
     std::vector<SpecWriteBuffer *> Free;
-    uint64_t Created = 0;
-    uint64_t Hits = 0;
   };
 
   std::vector<std::thread> Threads;
@@ -492,22 +439,16 @@ private:
   std::function<void()> ReleaseHook;
 
   mutable std::mutex Mutex;
-  std::condition_variable WakeCV;  ///< Workers park here.
-  std::condition_variable DoneCV;  ///< wait() callers park here.
-  std::condition_variable LeaseCV; ///< acquireSession() callers park here.
+  std::condition_variable WakeCV; ///< Workers park here.
+  std::condition_variable DoneCV; ///< WorkerSession::wait() parks here.
   std::vector<WorkerSlot> Slots;
   unsigned FreeCount = 0;
   /// Free workers per placement node (guarded by Mutex; maintained only
   /// while localityActive(), else empty).
   std::vector<unsigned> FreeByNode;
-  /// Leased workers per acquiring thread (self-deadlock diagnostic in
-  /// acquireSession; keyed by the session's owner, guarded by Mutex).
+  /// Leased workers per acquiring thread (callerHoldsEntirePool; keyed
+  /// by the session's owner, guarded by Mutex).
   std::unordered_map<std::thread::id, unsigned> WorkersHeldByThread;
-  /// Legacy launches' job; same single-storage discipline as
-  /// WorkerSession::Job.
-  std::function<void(unsigned)> LegacyJob;
-  unsigned LegacyRemaining = 0;
-  bool LegacyInFlight = false;
   bool ShuttingDown = false;
   /// Released sessions parked for reuse, sharded by the node of the
   /// session's first worker -- one shard without locality (guarded by
@@ -519,8 +460,6 @@ private:
   /// Per-node warm SpecWriteBuffer freelists (empty without a
   /// multi-node placement; buffers deleted in the pool destructor).
   std::vector<std::unique_ptr<BufferShard>> BufferShards;
-
-  detail::ChunkDeques LegacyDeques;
 };
 
 inline unsigned WorkerSession::laneNode(unsigned Lane) const {

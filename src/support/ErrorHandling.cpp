@@ -8,9 +8,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <set>
-#include <string>
 
 void spice::reportFatalError(const char *Msg, const char *File,
                              unsigned Line) {
@@ -19,14 +16,4 @@ void spice::reportFatalError(const char *Msg, const char *File,
   else
     std::fprintf(stderr, "fatal error: %s\n", Msg);
   std::abort();
-}
-
-void spice::reportDeprecationNote(const char *Msg) {
-  // Deduplicated by message text so a deprecated call site in a hot loop
-  // notes once, not once per call.
-  static std::mutex M;
-  static std::set<std::string> Seen;
-  std::lock_guard<std::mutex> Lock(M);
-  if (Seen.insert(Msg).second)
-    std::fprintf(stderr, "deprecation note: %s\n", Msg);
 }

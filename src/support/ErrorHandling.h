@@ -19,11 +19,6 @@ namespace spice {
 [[noreturn]] void reportFatalError(const char *Msg, const char *File = nullptr,
                                    unsigned Line = 0);
 
-/// Prints a loud "deprecation note: ..." to stderr, once per distinct
-/// message per process (repeat calls with the same message are silent).
-/// Execution continues; the note is a migration aid, not an error.
-void reportDeprecationNote(const char *Msg);
-
 } // namespace spice
 
 /// Marks a point in code that should never be executed. Aborts with the

@@ -140,8 +140,11 @@ void workloads::sjengEvalStep(SjengLiveIn &LI, SjengScore &S) {
   }
 
   LI.Phase += static_cast<int64_t>(P.Kind);
-  LI.RunningKey =
-      (LI.RunningKey * 0x100000001b3ll) ^ (P.Square + 64 * P.Flags);
+  // FNV-style step in uint64_t: the multiply is meant to wrap, which is
+  // only defined unsigned. Same bits as the two's-complement product.
+  LI.RunningKey = static_cast<int64_t>(
+      (static_cast<uint64_t>(LI.RunningKey) * 0x100000001b3ull) ^
+      static_cast<uint64_t>(P.Square + 64 * P.Flags));
   LI.Cursor = P.Next;
 }
 

@@ -25,11 +25,6 @@ using namespace spice;
 using namespace spice::core;
 using namespace spice::workloads;
 
-// Every protocol test registers its loop on a SpiceRuntime via
-// makeLoop(), the supported construction path. Coverage of the
-// deprecated flat-SpiceConfig constructor lives in one suite in
-// tests/spice_runtime_test.cpp (legacy-vs-runtime stat equivalence).
-
 //===----------------------------------------------------------------------===//
 // Otter (linked-list min, the paper's running example)
 //===----------------------------------------------------------------------===//
@@ -376,7 +371,7 @@ TEST_P(OversubscribedOtterTest, MatchesSequentialAcrossInvocations) {
   LoopOptions O;
   O.ChunksPerThread = P.ChunksPerThread;
   auto Loop = RT.makeLoop(Traits, O);
-  ASSERT_EQ(Loop.config().numChunks(), P.Threads * P.ChunksPerThread);
+  ASSERT_EQ(Loop.tuning().PlannedChunks, P.Threads * P.ChunksPerThread);
 
   for (int Invocation = 0; Invocation != 30 && List.head(); ++Invocation) {
     Clause *Expected = List.findLightestReference();

@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 using namespace spice;
@@ -225,7 +226,7 @@ TEST(NodePackedLeases, FittingLeaseStaysOnOneNode) {
   auto P = fakePlacement({4, 4}, 8);
   WorkerPool Pool(8, {}, P);
   ASSERT_TRUE(Pool.localityActive());
-  auto S = Pool.acquireSession(/*MaxLanes=*/4, /*AllowStealing=*/true);
+  auto S = Pool.tryAcquireSessionFor(4, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 4u);
   std::vector<unsigned> Nodes = laneNodes(*S);
   for (unsigned N : Nodes)
@@ -237,7 +238,7 @@ TEST(NodePackedLeases, OversizedLeaseIsTrimmedToTheLargestBlock) {
   // locality beats raw lane count when the block covers half the ask.
   auto P = fakePlacement({4, 4}, 8);
   WorkerPool Pool(8, {}, P);
-  auto S = Pool.acquireSession(/*MaxLanes=*/8, /*AllowStealing=*/true);
+  auto S = Pool.tryAcquireSessionFor(8, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 4u) << "trimmed to one node's block";
   std::vector<unsigned> Nodes = laneNodes(*S);
   for (unsigned N : Nodes)
@@ -249,15 +250,15 @@ TEST(NodePackedLeases, TinyBlocksForceASpanningLease) {
   // spans all nodes rather than starving the invocation.
   auto P = fakePlacement({1, 1, 1}, 3);
   WorkerPool Pool(3, {}, P);
-  auto S = Pool.acquireSession(/*MaxLanes=*/3, /*AllowStealing=*/true);
+  auto S = Pool.tryAcquireSessionFor(3, true, std::this_thread::get_id());
   EXPECT_EQ(S->lanes(), 3u);
 }
 
 TEST(NodePackedLeases, SecondLeaseTakesTheOtherNode) {
   auto P = fakePlacement({2, 2}, 4);
   WorkerPool Pool(4, {}, P);
-  auto A = Pool.acquireSession(2, true);
-  auto B = Pool.acquireSession(2, true);
+  auto A = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  auto B = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   ASSERT_EQ(A->lanes(), 2u);
   ASSERT_EQ(B->lanes(), 2u);
   EXPECT_NE(A->laneNode(0), B->laneNode(0))
@@ -271,7 +272,7 @@ TEST(NodePackedLeases, FreeWorkersByNodeTracksLeases) {
   Pool.freeWorkersByNode(Free);
   EXPECT_EQ(Free, (std::vector<unsigned>{2, 2}));
   {
-    auto S = Pool.acquireSession(2, true);
+    auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
     Pool.freeWorkersByNode(Free);
     unsigned Node = S->laneNode(0);
     EXPECT_EQ(Free[Node], 0u);
@@ -289,7 +290,7 @@ TEST(StealCounters, CrossNodeStealCountsAsRemote) {
   // Spanning lease over 1-lane nodes: any steal is cross-node.
   auto P = fakePlacement({1, 1, 1}, 3);
   WorkerPool Pool(3, {}, P);
-  auto S = Pool.acquireSession(3, /*AllowStealing=*/true);
+  auto S = Pool.tryAcquireSessionFor(3, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 3u);
   S->pushChunk(0, 1);
   S->pushChunk(0, 2);
@@ -310,7 +311,7 @@ TEST(StealCounters, CrossNodeStealCountsAsRemote) {
 TEST(StealCounters, SameNodeStealCountsAsLocal) {
   auto P = fakePlacement({2, 2}, 4);
   WorkerPool Pool(4, {}, P);
-  auto S = Pool.acquireSession(2, /*AllowStealing=*/true);
+  auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 2u) << "node-packed: both lanes on one node";
   S->pushChunk(0, 1);
   S->closeQueues();
@@ -325,7 +326,7 @@ TEST(StealCounters, SameNodeStealCountsAsLocal) {
 
 TEST(StealCounters, TopologyBlindPoolCountsEveryStealLocal) {
   WorkerPool Pool(2);
-  auto S = Pool.acquireSession(2, /*AllowStealing=*/true);
+  auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   S->pushChunk(0, 1);
   S->closeQueues();
   uint32_t C = 0;

@@ -10,61 +10,66 @@
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 using namespace spice::core;
+using spice::core::detail::ChunkDeques;
 
-TEST(WorkerPool, RunsEveryWorkerExactlyOnce) {
+TEST(WorkerPool, RunsEveryLaneExactlyOnce) {
   WorkerPool Pool(4);
+  auto S = Pool.tryAcquireSessionFor(4, true, std::this_thread::get_id());
+  ASSERT_EQ(S->lanes(), 4u);
   std::vector<std::atomic<int>> Hits(4);
-  Pool.launch(4, [&](unsigned I) { Hits[I].fetch_add(1); });
-  Pool.wait();
+  S->launch([&](unsigned Lane) { Hits[Lane].fetch_add(1); });
+  S->wait();
   for (auto &H : Hits)
     EXPECT_EQ(H.load(), 1);
 }
 
-TEST(WorkerPool, PartialLaunchLeavesOthersParked) {
+TEST(WorkerPool, PartialLeaseLeavesOthersParked) {
   WorkerPool Pool(4);
-  std::vector<std::atomic<int>> Hits(4);
-  Pool.launch(2, [&](unsigned I) { Hits[I].fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Hits[0].load(), 1);
-  EXPECT_EQ(Hits[1].load(), 1);
-  EXPECT_EQ(Hits[2].load(), 0);
-  EXPECT_EQ(Hits[3].load(), 0);
+  auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  ASSERT_EQ(S->lanes(), 2u);
+  EXPECT_EQ(Pool.freeWorkers(), 2u);
+  std::atomic<int> Runs{0};
+  S->launch([&](unsigned Lane) {
+    EXPECT_LT(Lane, 2u);
+    Runs.fetch_add(1);
+  });
+  S->wait();
+  EXPECT_EQ(Runs.load(), 2);
 }
 
-TEST(WorkerPool, ReusableAcrossManyLaunches) {
+TEST(WorkerPool, ReusableAcrossManyLeases) {
+  // Every round leases, launches, and releases: the released session is
+  // recycled, so only the first round allocates one.
   WorkerPool Pool(3);
   std::atomic<uint64_t> Sum{0};
   for (int Round = 0; Round != 200; ++Round) {
-    Pool.launch(3, [&](unsigned I) { Sum.fetch_add(I + 1); });
-    Pool.wait();
+    auto S = Pool.tryAcquireSessionFor(3, true, std::this_thread::get_id());
+    S->launch([&](unsigned Lane) { Sum.fetch_add(Lane + 1); });
+    S->wait();
   }
   EXPECT_EQ(Sum.load(), 200u * (1 + 2 + 3));
-}
-
-TEST(WorkerPool, ZeroCountLaunchIsANoop) {
-  WorkerPool Pool(2);
-  Pool.launch(0, [&](unsigned) { ADD_FAILURE() << "no worker should run"; });
-  Pool.wait();
+  EXPECT_EQ(Pool.sessionPoolStats().SessionsCreated, 1u);
+  EXPECT_EQ(Pool.sessionPoolStats().SessionPoolHits, 199u);
 }
 
 TEST(WorkerPool, CallerRunsConcurrentlyWithWorkers) {
   WorkerPool Pool(1);
+  auto S = Pool.tryAcquireSessionFor(1, true, std::this_thread::get_id());
   std::atomic<bool> WorkerSawFlag{false};
   std::atomic<bool> Flag{false};
-  Pool.launch(1, [&](unsigned) {
+  S->launch([&](unsigned) {
     // Wait (bounded) for the caller to set the flag after launch.
     for (int I = 0; I != 1'000'000 && !Flag.load(); ++I)
       std::this_thread::yield();
     WorkerSawFlag = Flag.load();
   });
   Flag = true; // If launch() blocked until completion, this would be late.
-  Pool.wait();
+  S->wait();
   EXPECT_TRUE(WorkerSawFlag.load());
 }
 
@@ -72,8 +77,11 @@ TEST(WorkerPool, DestructionJoinsCleanly) {
   for (int I = 0; I != 20; ++I) {
     WorkerPool Pool(2);
     std::atomic<int> N{0};
-    Pool.launch(2, [&](unsigned) { N.fetch_add(1); });
-    Pool.wait();
+    {
+      auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+      S->launch([&](unsigned) { N.fetch_add(1); });
+      S->wait();
+    }
     EXPECT_EQ(N.load(), 2);
   }
 }
@@ -96,17 +104,18 @@ TEST(WorkerPoolDeathTest, ThrowingWorkerStartHookAborts) {
       "WorkerStartHook threw during worker start.*no such node");
 }
 
-TEST(WorkerPoolDeathTest, ReentrantLaunchAborts) {
+TEST(WorkerPoolDeathTest, ReentrantSessionLaunchAborts) {
   // A second launch before wait() is a protocol violation: it must die
   // with a diagnostic instead of clobbering the in-flight job (UB).
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
         WorkerPool Pool(2);
-        Pool.launch(2, [](unsigned) {});
-        Pool.launch(2, [](unsigned) {}); // No wait(): must abort.
+        auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+        S->launch([](unsigned) {});
+        S->launch([](unsigned) {}); // No wait(): must abort.
       },
-      "launch");
+      "WorkerSession::launch");
 }
 
 //===----------------------------------------------------------------------===//
@@ -114,36 +123,36 @@ TEST(WorkerPoolDeathTest, ReentrantLaunchAborts) {
 //===----------------------------------------------------------------------===//
 
 TEST(WorkerPoolQueues, OwnLanePopsInFifoOrder) {
-  WorkerPool Pool(0); // Queues work without any worker threads.
-  Pool.resetQueues(1);
-  Pool.pushChunk(0, 1);
-  Pool.pushChunk(0, 2);
-  Pool.pushChunk(0, 3);
-  Pool.closeQueues();
+  ChunkDeques Q;
+  Q.reset(1, /*AllowStealing=*/true);
+  Q.push(0, 1);
+  Q.push(0, 2);
+  Q.push(0, 3);
+  Q.close();
   uint32_t C = 0;
   bool Stolen = true;
-  ASSERT_TRUE(Pool.acquireChunk(0, C, Stolen));
+  ASSERT_TRUE(Q.acquire(0, C, Stolen));
   EXPECT_EQ(C, 1u);
   EXPECT_FALSE(Stolen);
-  ASSERT_TRUE(Pool.acquireChunk(0, C, Stolen));
+  ASSERT_TRUE(Q.acquire(0, C, Stolen));
   EXPECT_EQ(C, 2u);
-  ASSERT_TRUE(Pool.acquireChunk(0, C, Stolen));
+  ASSERT_TRUE(Q.acquire(0, C, Stolen));
   EXPECT_EQ(C, 3u);
-  EXPECT_FALSE(Pool.acquireChunk(0, C, Stolen)) << "closed and drained";
+  EXPECT_FALSE(Q.acquire(0, C, Stolen)) << "closed and drained";
 }
 
 TEST(WorkerPoolQueues, StealsMostSpeculativeChunkFromTheBack) {
-  WorkerPool Pool(0);
-  Pool.resetQueues(2);
-  Pool.pushChunk(0, 1); // Lane 0 holds {1, 3}; lane 1 is empty.
-  Pool.pushChunk(0, 3);
-  Pool.closeQueues();
+  ChunkDeques Q;
+  Q.reset(2, /*AllowStealing=*/true);
+  Q.push(0, 1); // Lane 0 holds {1, 3}; lane 1 is empty.
+  Q.push(0, 3);
+  Q.close();
   uint32_t C = 0;
   bool Stolen = false;
-  ASSERT_TRUE(Pool.acquireChunk(1, C, Stolen));
+  ASSERT_TRUE(Q.acquire(1, C, Stolen));
   EXPECT_EQ(C, 3u) << "thief takes the back, leaving 1 to its owner";
   EXPECT_TRUE(Stolen);
-  ASSERT_TRUE(Pool.acquireChunk(0, C, Stolen));
+  ASSERT_TRUE(Q.acquire(0, C, Stolen));
   EXPECT_EQ(C, 1u);
   EXPECT_FALSE(Stolen);
 }
@@ -151,78 +160,77 @@ TEST(WorkerPoolQueues, StealsMostSpeculativeChunkFromTheBack) {
 TEST(WorkerPoolQueues, StealingCanBeDisabled) {
   // ChunksPerThread == 1 runs the paper's fixed schedule: a worker with
   // an empty lane must not poach from its neighbours.
-  WorkerPool Pool(0);
-  Pool.resetQueues(2, /*AllowStealing=*/false);
-  Pool.pushChunk(0, 1);
-  Pool.closeQueues();
+  ChunkDeques Q;
+  Q.reset(2, /*AllowStealing=*/false);
+  Q.push(0, 1);
+  Q.close();
   uint32_t C = 0;
   bool Stolen = false;
-  EXPECT_FALSE(Pool.acquireChunk(1, C, Stolen));
-  ASSERT_TRUE(Pool.acquireChunk(0, C, Stolen));
+  EXPECT_FALSE(Q.acquire(1, C, Stolen));
+  ASSERT_TRUE(Q.acquire(0, C, Stolen));
   EXPECT_EQ(C, 1u);
 }
 
 TEST(WorkerPoolQueues, HelpPopFrontPrefersOldestChunkAcrossLanes) {
-  WorkerPool Pool(0);
-  Pool.resetQueues(3);
-  Pool.pushChunk(2, 2); // Fronts are 2, 5, 4; oldest pending is 2.
-  Pool.pushChunk(0, 5);
-  Pool.pushChunk(1, 4);
-  Pool.pushChunk(2, 7);
+  ChunkDeques Q;
+  Q.reset(3, /*AllowStealing=*/true);
+  Q.push(2, 2); // Fronts are 2, 5, 4; oldest pending is 2.
+  Q.push(0, 5);
+  Q.push(1, 4);
+  Q.push(2, 7);
   uint32_t C = 0;
-  ASSERT_TRUE(Pool.helpPopFront(C));
+  ASSERT_TRUE(Q.helpPopFront(C));
   EXPECT_EQ(C, 2u);
-  ASSERT_TRUE(Pool.helpPopFront(C));
+  ASSERT_TRUE(Q.helpPopFront(C));
   EXPECT_EQ(C, 4u);
-  ASSERT_TRUE(Pool.helpPopFront(C));
+  ASSERT_TRUE(Q.helpPopFront(C));
   EXPECT_EQ(C, 5u);
-  ASSERT_TRUE(Pool.helpPopFront(C));
+  ASSERT_TRUE(Q.helpPopFront(C));
   EXPECT_EQ(C, 7u);
-  EXPECT_FALSE(Pool.helpPopFront(C));
-  EXPECT_EQ(Pool.pendingChunks(), 0u);
+  EXPECT_FALSE(Q.helpPopFront(C));
+  EXPECT_EQ(Q.pending(), 0u);
 }
 
 TEST(WorkerPoolQueues, AcquireBlocksUntilLateWorkOrClose) {
-  // A worker parked in acquireChunk must pick up work pushed after it
+  // A consumer parked in acquire must pick up work pushed after it
   // started waiting (the recovery re-enqueue path), then exit on close.
-  WorkerPool Pool(1);
-  Pool.resetQueues(1);
+  ChunkDeques Q;
+  Q.reset(1, /*AllowStealing=*/true);
   std::vector<uint32_t> Got;
-  Pool.launch(1, [&](unsigned Lane) {
+  std::thread Consumer([&] {
     uint32_t C;
     bool Stolen;
-    while (Pool.acquireChunk(Lane, C, Stolen))
+    while (Q.acquire(0, C, Stolen))
       Got.push_back(C);
   });
-  Pool.pushChunk(0, 11);
-  Pool.pushChunk(0, 12);
-  Pool.closeQueues();
-  Pool.wait();
+  Q.push(0, 11);
+  Q.push(0, 12);
+  Q.close();
+  Consumer.join();
   ASSERT_EQ(Got.size(), 2u);
   EXPECT_EQ(Got[0], 11u);
   EXPECT_EQ(Got[1], 12u);
 }
 
 TEST(WorkerPoolQueues, OversubscribedDrainExecutesEveryChunkOnce) {
-  // 64 chunks on 3 workers with stealing: every chunk runs exactly once.
-  WorkerPool Pool(3);
-  Pool.resetQueues(3);
+  // 64 chunks on 3 lanes with stealing: every chunk runs exactly once.
+  ChunkDeques Q;
+  Q.reset(3, /*AllowStealing=*/true);
   std::vector<std::atomic<int>> Hits(64);
   for (uint32_t C = 0; C != 64; ++C)
-    Pool.pushChunk(C % 3, C);
-  Pool.closeQueues();
-  std::atomic<int> StolenCount{0};
-  Pool.launch(3, [&](unsigned Lane) {
-    uint32_t C;
-    bool Stolen;
-    while (Pool.acquireChunk(Lane, C, Stolen)) {
-      Hits[C].fetch_add(1);
-      if (Stolen)
-        StolenCount.fetch_add(1);
-    }
-  });
-  Pool.wait();
+    Q.push(C % 3, C);
+  Q.close();
+  std::vector<std::thread> Lanes;
+  for (unsigned Lane = 0; Lane != 3; ++Lane)
+    Lanes.emplace_back([&, Lane] {
+      uint32_t C;
+      bool Stolen;
+      while (Q.acquire(Lane, C, Stolen))
+        Hits[C].fetch_add(1);
+    });
+  for (std::thread &T : Lanes)
+    T.join();
   for (auto &H : Hits)
     EXPECT_EQ(H.load(), 1);
-  EXPECT_EQ(Pool.pendingChunks(), 0u);
+  EXPECT_EQ(Q.pending(), 0u);
 }
