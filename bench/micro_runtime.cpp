@@ -132,7 +132,6 @@ void BM_SessionRoundTrip(benchmark::State &State) {
   for (auto _ : State) {
     WorkerPool::SessionHandle S = Pool.tryAcquireSessionFor(
         3, /*AllowStealing=*/true, std::this_thread::get_id());
-    S->closeQueues();
     S->launch([&](unsigned I) { Sink.fetch_add(I); });
     S->wait();
   }
@@ -204,12 +203,30 @@ void BM_SjengEvalStep(benchmark::State &State) {
   }
 }
 
+/// Median of \p V (the mean of the middle two for an even count), in
+/// the unit of its elements. The hand-timed keys are written as doubles
+/// so a sub-nanosecond per-operation cost or shift stays visible.
+double median(std::vector<double> &V) {
+  const size_t Mid = V.size() / 2;
+  std::nth_element(V.begin(), V.begin() + Mid, V.end());
+  if (V.size() % 2)
+    return V[Mid];
+  return (V[Mid] + *std::max_element(V.begin(), V.begin() + Mid)) / 2;
+}
+
+/// Nanoseconds elapsed since \p T0.
+double nanosSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - T0)
+      .count();
+}
+
 /// Hand-timed median of the CodeCache paths on the otter IR loop: cold
 /// is the full getOrCompile pipeline (frontend -> passes -> backend)
 /// into a fresh cache, warm is a repeat getOrCompile hitting the same
 /// (function, region, options-hash) key -- the price every re-submitted
 /// serving invocation actually pays.
-uint64_t medianJitCompileNanos(int Reps, bool Warm) {
+double medianJitCompileNanos(int Reps, bool Warm) {
   using Clock = std::chrono::steady_clock;
   ir::Module M;
   workloads::OtterIR W(/*ListSize=*/64, /*Seed=*/5);
@@ -220,20 +237,16 @@ uint64_t medianJitCompileNanos(int Reps, bool Warm) {
   jit::CodeCache WarmCache;
   if (Warm)
     (void)WarmCache.getOrCompile(*CL, Opts);
-  std::vector<uint64_t> Nanos(static_cast<size_t>(Reps));
+  std::vector<double> Nanos(static_cast<size_t>(Reps));
   for (int I = 0; I != Reps; ++I) {
     jit::CodeCache ColdCache;
     jit::CodeCache &Cache = Warm ? WarmCache : ColdCache;
     Clock::time_point T0 = Clock::now();
     auto Unit = Cache.getOrCompile(*CL, Opts);
-    Nanos[static_cast<size_t>(I)] = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             T0)
-            .count());
+    Nanos[static_cast<size_t>(I)] = nanosSince(T0);
     benchmark::DoNotOptimize(Unit);
   }
-  std::nth_element(Nanos.begin(), Nanos.begin() + Reps / 2, Nanos.end());
-  return Nanos[static_cast<size_t>(Reps / 2)];
+  return median(Nanos);
 }
 
 /// Times \p Reps repetitions of \p Body (each covering \p OpsPerRep
@@ -241,21 +254,15 @@ uint64_t medianJitCompileNanos(int Reps, bool Warm) {
 /// nanoseconds. Small enough batches of cheap ops would disappear under
 /// clock overhead, hence the batching.
 template <typename Fn>
-uint64_t medianOpNanos(int Reps, uint64_t OpsPerRep, Fn &&Body) {
-  using Clock = std::chrono::steady_clock;
-  std::vector<uint64_t> Nanos(static_cast<size_t>(Reps));
+double medianOpNanos(int Reps, uint64_t OpsPerRep, Fn &&Body) {
+  std::vector<double> Nanos(static_cast<size_t>(Reps));
   for (int I = 0; I != Reps; ++I) {
-    Clock::time_point T0 = Clock::now();
+    const auto T0 = std::chrono::steady_clock::now();
     Body();
     Nanos[static_cast<size_t>(I)] =
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - T0)
-                .count()) /
-        OpsPerRep;
+        nanosSince(T0) / static_cast<double>(OpsPerRep);
   }
-  std::nth_element(Nanos.begin(), Nanos.begin() + Reps / 2, Nanos.end());
-  return Nanos[static_cast<size_t>(Reps / 2)];
+  return median(Nanos);
 }
 
 constexpr size_t SpecBenchAddrs = 48;
@@ -265,7 +272,7 @@ constexpr int SpecBenchRounds = 64;
 /// addresses inserted fresh each generation, with the (cheap, O(live))
 /// clear amortized in -- i.e. what a reused buffer pays per buffered
 /// store at steady state.
-uint64_t specWriteNanos(int Reps) {
+double specWriteNanos(int Reps) {
   std::vector<int64_t> Cells(SpecBenchAddrs, 0);
   SpecWriteBuffer Buf;
   return medianOpNanos(
@@ -279,7 +286,7 @@ uint64_t specWriteNanos(int Reps) {
 }
 
 /// Per-read cost when the address is in the write log (read-own-write).
-uint64_t specReadHitNanos(int Reps) {
+double specReadHitNanos(int Reps) {
   std::vector<int64_t> Cells(SpecBenchAddrs, 0);
   SpecWriteBuffer Buf;
   for (size_t I = 0; I != SpecBenchAddrs; ++I)
@@ -295,7 +302,7 @@ uint64_t specReadHitNanos(int Reps) {
 /// Per-read cost when the address was never written: probe, shared
 /// load, and the already-logged check (steady state after the first
 /// read of each address).
-uint64_t specReadMissNanos(int Reps) {
+double specReadMissNanos(int Reps) {
   std::vector<int64_t> Cells(SpecBenchAddrs, 7);
   SpecWriteBuffer Buf;
   for (int64_t &C : Cells)
@@ -311,7 +318,7 @@ uint64_t specReadMissNanos(int Reps) {
 /// Per-live-entry cost of the populate-then-clear cycle on a reused
 /// buffer: what the generation-stamp clear (plus the re-inserts it
 /// enables) costs compared to throwing buffers away.
-uint64_t specClearReuseNanos(int Reps) {
+double specClearReuseNanos(int Reps) {
   constexpr size_t Live = 32;
   std::vector<int64_t> Cells(Live, 0);
   SpecWriteBuffer Buf;
@@ -328,7 +335,7 @@ uint64_t specClearReuseNanos(int Reps) {
 /// against a contending background client. google-benchmark reports the
 /// same numbers interactively; this feeds the flat BENCH_*.json artifact
 /// the CI perf trajectory is built from.
-uint64_t medianSubmitRoundTripNanos(int Reps, bool Contended) {
+double medianSubmitRoundTripNanos(int Reps, bool Contended) {
   using Clock = std::chrono::steady_clock;
   SpiceRuntime RT(/*NumThreads=*/4);
   MicroCountTraits Traits, BgTraits;
@@ -343,28 +350,24 @@ uint64_t medianSubmitRoundTripNanos(int Reps, bool Contended) {
       while (!Stop.load(std::memory_order_relaxed))
         BgLoop.submit(0).get();
     });
-  std::vector<uint64_t> Nanos(static_cast<size_t>(Reps));
+  std::vector<double> Nanos(static_cast<size_t>(Reps));
   for (int I = 0; I != Reps; ++I) {
     Clock::time_point T0 = Clock::now();
     Loop.submit(0).get();
-    Nanos[static_cast<size_t>(I)] = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             T0)
-            .count());
+    Nanos[static_cast<size_t>(I)] = nanosSince(T0);
   }
   Stop.store(true);
   if (Bg.joinable())
     Bg.join();
-  std::nth_element(Nanos.begin(), Nanos.begin() + Reps / 2, Nanos.end());
-  return Nanos[static_cast<size_t>(Reps / 2)];
+  return median(Nanos);
 }
 
 /// Hand-timed median per-invocation cost of submitBatch(BatchN).take()
 /// round trips (ns), solo or contended -- the serving layer's
 /// amortization of medianSubmitRoundTripNanos (same loop, same trip
 /// count; only the admission traffic differs).
-uint64_t medianBatchSubmitPerInvocationNanos(int Reps, size_t BatchN,
-                                             bool Contended) {
+double medianBatchSubmitPerInvocationNanos(int Reps, size_t BatchN,
+                                           bool Contended) {
   using Clock = std::chrono::steady_clock;
   SpiceRuntime RT(/*NumThreads=*/4);
   MicroCountTraits Traits, BgTraits;
@@ -380,22 +383,17 @@ uint64_t medianBatchSubmitPerInvocationNanos(int Reps, size_t BatchN,
         BgLoop.submit(0).get();
     });
   std::vector<int64_t> Starts(BatchN, 0);
-  std::vector<uint64_t> Nanos(static_cast<size_t>(Reps));
+  std::vector<double> Nanos(static_cast<size_t>(Reps));
   for (int I = 0; I != Reps; ++I) {
     Clock::time_point T0 = Clock::now();
     Loop.submitBatch(Starts).take();
     Nanos[static_cast<size_t>(I)] =
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - T0)
-                .count()) /
-        BatchN;
+        nanosSince(T0) / static_cast<double>(BatchN);
   }
   Stop.store(true);
   if (Bg.joinable())
     Bg.join();
-  std::nth_element(Nanos.begin(), Nanos.begin() + Reps / 2, Nanos.end());
-  return Nanos[static_cast<size_t>(Reps / 2)];
+  return median(Nanos);
 }
 
 } // namespace

@@ -149,7 +149,7 @@ public:
         SVA(NumChunks > 1 ? NumChunks - 1 : 0), RowValid(SVA.size(), 0),
         Buffers(NumChunks),
         AbortFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
-        DoneFlags(std::make_unique<std::atomic<bool>[]>(NumChunks)),
+        DoneFlags(std::make_unique<std::atomic<uint32_t>[]>(NumChunks)),
         Results(NumChunks) {
     BufPtrs.reserve(Buffers.size());
     for (SpecWriteBuffer &B : Buffers)
@@ -460,8 +460,9 @@ private:
   }
 
   /// Executes chunk \p C against the prediction snapshot and publishes its
-  /// result. Runs on workers, and -- in oversubscribed mode -- on the
-  /// resolving main thread as well.
+  /// result, waking the resolver if it parked on the chunk's done word.
+  /// Runs on workers, and -- in oversubscribed mode -- on the resolving
+  /// main thread as well.
   void executeChunk(unsigned C, const std::vector<LiveIn> &Pred,
                     unsigned ActiveChunks, bool Stolen,
                     uint64_t IterBudget) {
@@ -470,7 +471,8 @@ private:
                              IterBudget);
     R.Stolen = Stolen;
     Results[C] = std::move(R);
-    DoneFlags[C].store(true, std::memory_order_release);
+    DoneFlags[C].store(1, std::memory_order_release);
+    DoneFlags[C].notify_one();
   }
 
   /// Iteration cap for speculative chunks the resolving main thread
@@ -724,9 +726,6 @@ private:
       unsigned Active = L.countLaunchableSpecChunks();
       if (Active == 0)
         return L.invokeSequential(Starts[I]);
-      // The leased workers are parked between elements (resolveGranted
-      // joins them), so reopening the deques here is race-free.
-      Session->reopenQueues();
       L.prepareParallel(Active, Session.get());
       L.launchChunks(*Session, Active);
       return L.resolveGranted(*Session, Starts[I], Active,
@@ -770,7 +769,7 @@ private:
     bindChunkBuffers(ActiveChunks, S);
     for (unsigned I = 0; I <= ActiveChunks; ++I) {
       AbortFlags[I].store(false, std::memory_order_relaxed);
-      DoneFlags[I].store(false, std::memory_order_relaxed);
+      DoneFlags[I].store(0, std::memory_order_relaxed);
       specBuf(I).clear();
       Results[I].reset();
     }
@@ -818,10 +817,13 @@ private:
   /// Grant-side setup, step 2: queue the speculative chunks on the
   /// granted lanes and wake the leased workers. With a sole client the
   /// session holds min(pool size, ActiveChunks) lanes, the pre-scheduler
-  /// schedule; a capped grant simply queues more chunks per lane. The
-  /// job context (session pointer, active count, PredArena) lives in the
-  /// loop so the lambda captures only `this` -- small enough for
-  /// std::function's inline storage, so a launch never heap-allocates.
+  /// schedule; a capped grant simply queues more chunks per lane. Each
+  /// lane runs chunks until every deque is empty and then leaves the
+  /// job; a recovery chunk pushed after that is the resolver's to run
+  /// (WaitForChunk in resolveGranted). The job context (session
+  /// pointer, active count, PredArena) lives in the loop so the lambda
+  /// captures only `this` -- small enough for std::function's inline
+  /// storage, so a launch never heap-allocates.
   void launchChunks(WorkerSession &S, unsigned ActiveChunks) {
     const unsigned Lanes = S.lanes();
     for (unsigned C = 1; C <= ActiveChunks; ++C)
@@ -846,7 +848,7 @@ private:
   /// batch re-launches it element by element) and releases it exactly
   /// once when the whole request completes (AsyncInvocation::finish).
   /// On exit -- normal or unwinding -- the leased workers are joined
-  /// and the queues closed, so the caller may reopen and re-launch.
+  /// and the deques left empty, so the caller may re-launch.
   State resolveGranted(WorkerSession &Session, const LiveIn &Start,
                        unsigned ActiveChunks, uint64_t QueuedMicros) {
     const auto ResolveStart = std::chrono::steady_clock::now();
@@ -863,8 +865,9 @@ private:
     // If a Traits callable throws mid-invocation, the lanes must still be
     // joined before the handle returns them to the shared pool -- a
     // session destroyed with its job in flight would lease busy workers
-    // to other loops. Squash the orphaned chunks and drain; idempotent
-    // on the normal path (queues already closed, wait a no-op).
+    // to other loops. Squash the orphaned chunks, let the lanes drain
+    // them, and drop any recovery chunk nobody ran; idempotent on the
+    // normal path (lanes already joined, deques empty).
     struct SessionJoiner {
       SpiceLoop &L;
       WorkerSession &S;
@@ -872,8 +875,8 @@ private:
       ~SessionJoiner() {
         for (unsigned I = 0; I <= ActiveChunks; ++I)
           L.AbortFlags[I].store(true, std::memory_order_relaxed);
-        S.closeQueues();
         S.wait();
+        S.clearQueues();
         // Safe only here: the join above is what guarantees no worker
         // still writes through the chunk buffers.
         L.releaseChunkBuffers();
@@ -883,22 +886,22 @@ private:
                           cursorFor(0), Opts.MaxSpecIterations);
 
     // Waits for chunk C to finish; in oversubscribed mode the main thread
-    // makes itself useful by draining pending chunks while it waits. A
+    // first drains pending chunks oldest-first -- a requeued recovery
+    // chunk is always among them, since the lanes may all have left. A
     // helped chunk whose start is already validated (P == C) gets the
     // full budget; a still-speculative one is clamped so main can never
-    // be wedged inside a chunk only it could abort.
+    // be wedged inside a chunk only it could abort. Once nothing is
+    // pending, C is running on a lane, and only main pushes chunks, so
+    // main spins briefly and then parks on C's done word.
     auto WaitForChunk = [&](unsigned C) {
-      while (!DoneFlags[C].load(std::memory_order_acquire)) {
-        uint32_t P;
-        if (Oversubscribed && Session.helpPopFront(P)) {
-          ++Stats.MainHelpedChunks;
-          executeChunk(P, Pred, ActiveChunks, /*Stolen=*/true,
-                       P == C ? Opts.MaxSpecIterations
-                              : helpIterBudget());
-        } else {
-          std::this_thread::yield();
-        }
+      uint32_t P;
+      while (Oversubscribed && !DoneFlags[C].load(std::memory_order_acquire) &&
+             Session.helpPopFront(P)) {
+        ++Stats.MainHelpedChunks;
+        executeChunk(P, Pred, ActiveChunks, /*Stolen=*/true,
+                     P == C ? Opts.MaxSpecIterations : helpIterBudget());
       }
+      detail::awaitWord(DoneFlags[C], 1);
     };
 
     // --- Ordered chain resolution (main thread) ---
@@ -950,10 +953,11 @@ private:
             RowValid[Row] = 0;
           specBuf(J).clear();
           Results[J].reset();
-          DoneFlags[J].store(false, std::memory_order_relaxed);
+          DoneFlags[J].store(0, std::memory_order_relaxed);
           AbortFlags[J].store(false, std::memory_order_relaxed);
           // Front of the lane: J blocks the whole commit chain, so it
-          // must run before any more-speculative pending chunk.
+          // must run before any more-speculative pending chunk. Every
+          // lane may have left already; WaitForChunk then runs it here.
           Session.pushChunkFront(homeLane(J, Lanes), J);
           continue; // Same J: wait for the recovery execution.
         }
@@ -990,7 +994,6 @@ private:
       Merged = runRecovery(std::move(Merged), Pred[RecoverFrom - 1], Work,
                            RecoverFrom);
 
-    Session.closeQueues();
     Session.wait(); // The caller's finish() returns the leased lanes.
 
     // Steal locality: fold this element's deque counters into the loop
@@ -1220,13 +1223,15 @@ private:
   /// in-flight invocation; empty whenever no invocation is bound.
   std::vector<std::pair<unsigned, SpecWriteBuffer *>> DrawnBufs;
   std::unique_ptr<std::atomic<bool>[]> AbortFlags;
-  std::unique_ptr<std::atomic<bool>[]> DoneFlags;
+  /// Per-chunk done words: 1 once the chunk's result is published.
+  /// executeChunk notifies them; the resolver parks on them.
+  std::unique_ptr<std::atomic<uint32_t>[]> DoneFlags;
   std::vector<std::optional<ChunkResult>> Results;
   /// Launch context captured by reference from the worker lambda so the
   /// lambda closes over `this` alone (8 bytes -- fits std::function's
   /// small-buffer storage, so launching chunks never heap-allocates).
-  /// Written in launchChunks under the pool mutex taken by
-  /// WorkerSession::launch, which is what publishes it to the workers.
+  /// Written in launchChunks before WorkerSession::launch, whose
+  /// release increment of each wake word publishes it to the workers.
   struct LaunchCtx {
     WorkerSession *S = nullptr;
     unsigned ActiveChunks = 0;
@@ -1235,7 +1240,7 @@ private:
   /// Reusable per-invocation scratch. Safe as members because at most
   /// one invocation is in flight per loop (InvokeInFlight): written by
   /// the driving thread in prepareParallel/resolveGranted before workers
-  /// start (ordered by the pool mutex in launch, and by onGrant's
+  /// start (ordered by the wake words in launch, and by onGrant's
   /// mutex/CV for the submit path), read-only while chunks run.
   std::vector<LiveIn> PredArena;
   std::vector<uint64_t> WorkArena;

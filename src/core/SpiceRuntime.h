@@ -75,7 +75,7 @@ public:
   /// Convenience: a runtime with \p NumThreads threads and default
   /// cross-loop policy.
   explicit SpiceRuntime(unsigned NumThreads)
-      : SpiceRuntime(RuntimeConfig{NumThreads, {}}) {}
+      : SpiceRuntime(configWithThreads(NumThreads)) {}
 
   ~SpiceRuntime() {
     // Loud in every build type: both conditions leave dangling state
@@ -130,6 +130,12 @@ public:
 
 private:
   template <typename Traits> friend class SpiceLoop;
+
+  static RuntimeConfig configWithThreads(unsigned NumThreads) {
+    RuntimeConfig C;
+    C.NumThreads = NumThreads;
+    return C;
+  }
 
   void registerLoop() {
     RegisteredLoops.fetch_add(1, std::memory_order_relaxed);

@@ -24,6 +24,28 @@ using namespace spice::core;
 using namespace spice::core::detail;
 
 //===----------------------------------------------------------------------===//
+// Waiting on a word
+//===----------------------------------------------------------------------===//
+
+static void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+void detail::awaitWord(const std::atomic<uint32_t> &Word, uint32_t Target) {
+  for (unsigned I = 0; I != WaitSpins; ++I) {
+    if (Word.load(std::memory_order_acquire) == Target)
+      return;
+    cpuRelax();
+  }
+  for (uint32_t V; (V = Word.load(std::memory_order_acquire)) != Target;)
+    Word.wait(V, std::memory_order_acquire);
+}
+
+//===----------------------------------------------------------------------===//
 // ChunkDeques
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +65,6 @@ void ChunkDeques::reset(unsigned NumLanes, bool AllowStealing) {
   UseLocality = false;
   LocalSteals.store(0, std::memory_order_relaxed);
   RemoteSteals.store(0, std::memory_order_relaxed);
-  Closed.store(false, std::memory_order_release);
 }
 
 void ChunkDeques::setLocality(const topology::Placement &P,
@@ -70,51 +91,28 @@ void ChunkDeques::setLocality(const topology::Placement &P,
   UseLocality = true;
 }
 
-void ChunkDeques::reopen() {
+void ChunkDeques::clear() {
   for (auto &L : Lanes) {
     std::lock_guard<std::mutex> Lock(L->M);
     L->Q.clear();
   }
-  Closed.store(false, std::memory_order_release);
-}
-
-void ChunkDeques::bumpEpoch() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Epoch.fetch_add(1, std::memory_order_release);
-  }
-  CV.notify_all();
 }
 
 void ChunkDeques::push(unsigned LaneIdx, uint32_t Chunk) {
   assert(LaneIdx < Lanes.size() && "push into nonexistent lane");
-  assert(!Closed.load(std::memory_order_relaxed) && "push after close");
-  {
-    Lane &L = *Lanes[LaneIdx];
-    std::lock_guard<std::mutex> Lock(L.M);
-    L.Q.push_back(Chunk);
-  }
-  bumpEpoch();
+  Lane &L = *Lanes[LaneIdx];
+  std::lock_guard<std::mutex> Lock(L.M);
+  L.Q.push_back(Chunk);
 }
 
 void ChunkDeques::pushFront(unsigned LaneIdx, uint32_t Chunk) {
   assert(LaneIdx < Lanes.size() && "push into nonexistent lane");
-  assert(!Closed.load(std::memory_order_relaxed) && "push after close");
-  {
-    Lane &L = *Lanes[LaneIdx];
-    std::lock_guard<std::mutex> Lock(L.M);
-    L.Q.push_front(Chunk);
-  }
-  bumpEpoch();
+  Lane &L = *Lanes[LaneIdx];
+  std::lock_guard<std::mutex> Lock(L.M);
+  L.Q.push_front(Chunk);
 }
 
-void ChunkDeques::close() {
-  Closed.store(true, std::memory_order_release);
-  bumpEpoch();
-}
-
-bool ChunkDeques::tryAcquire(unsigned LaneIdx, uint32_t &Chunk,
-                             bool &Stolen) {
+bool ChunkDeques::acquire(unsigned LaneIdx, uint32_t &Chunk, bool &Stolen) {
   assert(LaneIdx < Lanes.size() && "acquire from nonexistent lane");
   {
     Lane &Own = *Lanes[LaneIdx];
@@ -165,27 +163,6 @@ bool ChunkDeques::tryAcquire(unsigned LaneIdx, uint32_t &Chunk,
     }
   }
   return false;
-}
-
-bool ChunkDeques::acquire(unsigned LaneIdx, uint32_t &Chunk, bool &Stolen) {
-  for (;;) {
-    // Sample the epoch, then read Closed, then scan: a push or close that
-    // lands after the scan bumps the epoch past Seen, so the wait below
-    // can never sleep through it. Parking (rather than yield-spinning)
-    // matters during long resolutions -- e.g. ChunksPerThread == 1
-    // workers are done after one chunk while main may still run a full
-    // serial recovery.
-    uint64_t Seen = Epoch.load(std::memory_order_acquire);
-    bool IsClosed = Closed.load(std::memory_order_acquire);
-    if (tryAcquire(LaneIdx, Chunk, Stolen))
-      return true;
-    if (IsClosed)
-      return false;
-    std::unique_lock<std::mutex> Lock(Mutex);
-    CV.wait(Lock, [&] {
-      return Epoch.load(std::memory_order_relaxed) != Seen;
-    });
-  }
 }
 
 bool ChunkDeques::helpPopFront(uint32_t &Chunk) {
@@ -241,30 +218,29 @@ void WorkerSession::Recycler::operator()(WorkerSession *S) const {
 }
 
 void WorkerSession::launch(std::function<void(unsigned)> NewJob) {
-  {
-    std::lock_guard<std::mutex> Lock(Pool.Mutex);
-    assert(!InFlight && "re-entrant WorkerSession::launch without wait()");
-    if (InFlight)
-      reportFatalError("WorkerSession::launch called while a previous "
-                       "launch is still in flight; call wait() first");
-    InFlight = true;
-    Remaining = static_cast<unsigned>(Workers.size());
-    Job = std::move(NewJob);
-    for (unsigned L = 0; L != Workers.size(); ++L) {
-      WorkerPool::WorkerSlot &Slot = Pool.Slots[Workers[L]];
-      assert(!Slot.HasWork && "leased worker still has pending work");
-      Slot.HasWork = true;
-      Slot.Session = this;
-      Slot.Lane = L;
-    }
+  assert(!InFlight && "re-entrant WorkerSession::launch without wait()");
+  if (InFlight)
+    reportFatalError("WorkerSession::launch called while a previous "
+                     "launch is still in flight; call wait() first");
+  InFlight = true;
+  Job = std::move(NewJob);
+  Remaining.store(lanes(), std::memory_order_relaxed);
+  // The lease (under the pool mutex) made these slots ours, and each
+  // worker has left its previous job, so the plain writes are ordered
+  // before the release increment that wakes the worker.
+  for (unsigned L = 0; L != Workers.size(); ++L) {
+    WorkerPool::WorkerSlot &Slot = Pool.Slots[Workers[L]];
+    assert(Slot.Wake.load(std::memory_order_relaxed) % 2 == 0 &&
+           "leased worker is still running a job");
+    Slot.Session = this;
+    Slot.Lane = L;
+    Slot.Wake.fetch_add(1, std::memory_order_release);
+    Slot.Wake.notify_one();
   }
-  if (!Workers.empty())
-    Pool.WakeCV.notify_all();
 }
 
 void WorkerSession::wait() {
-  std::unique_lock<std::mutex> Lock(Pool.Mutex);
-  Pool.DoneCV.wait(Lock, [this] { return Remaining == 0; });
+  detail::awaitWord(Remaining, 0);
   InFlight = false;
 }
 
@@ -300,13 +276,15 @@ WorkerPool::WorkerPool(unsigned NumWorkers,
 }
 
 WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    assert(FreeCount == Threads.size() &&
-           "destroying a WorkerPool with sessions still leased");
-    ShuttingDown = true;
+  assert(freeWorkers() == Threads.size() &&
+         "destroying a WorkerPool with sessions still leased");
+  // Every worker is parked (all sessions waited and released): a wake
+  // with no session tells it to exit.
+  for (WorkerSlot &Slot : Slots) {
+    Slot.Session = nullptr;
+    Slot.Wake.fetch_add(1, std::memory_order_release);
+    Slot.Wake.notify_one();
   }
-  WakeCV.notify_all();
   for (std::thread &T : Threads)
     T.join();
   // Workers are joined: the freelists can no longer be touched. Any
@@ -339,30 +317,21 @@ void WorkerPool::workerMain(unsigned Index) {
                        __FILE__, __LINE__);
     }
   }
-  for (;;) {
-    WorkerSession *Session;
-    unsigned Lane;
-    {
-      std::unique_lock<std::mutex> Lock(Mutex);
-      WakeCV.wait(Lock, [&] {
-        return ShuttingDown || Slots[Index].HasWork;
-      });
-      if (ShuttingDown)
-        return;
-      WorkerSlot &Slot = Slots[Index];
-      Slot.HasWork = false;
-      Session = Slot.Session;
-      Lane = Slot.Lane;
-    }
-    // The job lives once in the session: written under the mutex we
-    // just held, and not rewritten until after wait(), so calling it
-    // here without a copy is ordered and race-free.
-    Session->Job(Lane);
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      --Session->Remaining;
-    }
-    DoneCV.notify_all();
+  WorkerSlot &Slot = Slots[Index];
+  for (uint32_t Parked = 0;; Parked += 2) {
+    Slot.Wake.wait(Parked, std::memory_order_acquire);
+    WorkerSession *Session = Slot.Session;
+    if (!Session)
+      return;
+    // The job lives once in the session: written before the wake we
+    // just acquired, and not rewritten until after wait(), so calling
+    // it here without a copy is ordered and race-free.
+    Session->Job(Slot.Lane);
+    Slot.Wake.store(Parked + 2, std::memory_order_release);
+    // The session outlives this notify: the pool deletes recycled
+    // sessions only after joining its workers.
+    if (Session->Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      Session->Remaining.notify_one();
   }
 }
 
@@ -548,6 +517,13 @@ void WorkerPool::recycleSession(WorkerSession *S) {
 unsigned WorkerPool::freeWorkers() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return FreeCount;
+}
+
+unsigned WorkerPool::busyWorkers() const {
+  unsigned Busy = 0;
+  for (const WorkerSlot &Slot : Slots)
+    Busy += Slot.Wake.load(std::memory_order_acquire) % 2;
+  return Busy;
 }
 
 void WorkerPool::freeWorkersByNode(std::vector<unsigned> &Out) const {

@@ -7,17 +7,18 @@
 /// \file
 /// The paper pre-allocates threads to cores at program entry and wakes them
 /// with a new_invocation token per loop invocation, avoiding per-invocation
-/// spawn cost. WorkerPool reproduces that: N persistent threads parked on a
-/// condition variable. One pool is shared by every loop of a SpiceRuntime,
-/// so an invocation does not own the threads -- it *leases* them, through
-/// the runtime's Scheduler (core/Scheduler.h):
+/// spawn cost. WorkerPool reproduces that: N persistent threads, each
+/// parked on its own wake word (std::atomic::wait). One pool is shared by
+/// every loop of a SpiceRuntime, so an invocation does not own the threads
+/// -- it *leases* them, through the runtime's Scheduler (core/Scheduler.h):
 ///
 ///   WorkerPool::SessionHandle S =
 ///       Pool.tryAcquireSessionFor(MaxLanes, Stealing, Owner);
 ///   for (...) S->pushChunk(Lane, Chunk);
-///   S->launch([&](unsigned Lane) { ... S->acquireChunk(Lane, ...) ... });
+///   S->launch([&](unsigned Lane) {
+///     while (S->acquireChunk(Lane, ...)) ...; // Leave once nothing is left.
+///   });
 ///   ... S->helpPopFront(...) / S->pushChunkFront(...) ...
-///   S->closeQueues();
 ///   S->wait();            // Handle destruction returns the lanes.
 ///
 /// tryAcquireSessionFor() partitions the free workers: it hands out up to
@@ -26,18 +27,23 @@
 /// it. It never blocks: with no free worker it returns null, and the
 /// Scheduler queues the request until a release (setReleaseHook) frees a
 /// lane. Waiting for lanes, and the self-deadlock check that guards the
-/// wait, therefore live in the Scheduler. Each session owns its own
-/// chunk deques (one lane per leased worker): a worker pops its own lane
-/// from the front (oldest, least speculative chunk first) and, when its
-/// lane is empty, steals from the back of the session's other lanes (the
-/// most speculative chunk, leaving earlier chunks to their owner). The
-/// producer (the client thread that acquired the session) may keep pushing
-/// chunks -- e.g. recovery chunks after a mis-speculation -- until it calls
-/// closeQueues(), and may itself drain pending chunks front-first via
-/// helpPopFront(). The deques are mutex-guarded: chunks are coarse units
-/// of loop work, so queue transfer cost is irrelevant next to chunk
-/// execution and the simple locking keeps the protocol easy to reason
-/// about (and TSan-clean).
+/// wait, therefore live in the Scheduler. launch() wakes exactly the
+/// leased workers, one wake word each; wait() spins briefly on the
+/// session's countdown of running lanes and then parks on it.
+///
+/// Each session owns its own chunk deques (one lane per leased worker): a
+/// worker pops its own lane from the front (oldest, least speculative
+/// chunk first) and, when its lane is empty, steals from the back of the
+/// session's other lanes (the most speculative chunk, leaving earlier
+/// chunks to their owner). acquireChunk() never blocks: a lane leaves its
+/// job as soon as every deque is empty. The producer (the client thread
+/// driving the session) may push more chunks -- recovery chunks after a
+/// mis-speculation -- at any time, but must then be ready to run them
+/// itself via helpPopFront(), front-first: no lane may be left to take
+/// them. The deques are mutex-guarded: chunks are coarse units of loop
+/// work, so queue transfer cost is irrelevant next to chunk execution and
+/// the simple locking keeps the protocol easy to reason about (and
+/// TSan-clean).
 ///
 /// When the pool is built with a multi-node topology::Placement
 /// (docs/topology.md), locality shapes all of this: leases take
@@ -59,7 +65,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -77,6 +82,20 @@ class WorkerPool;
 
 namespace detail {
 
+/// Pause instructions a waiter spins on its word before it parks in
+/// std::atomic::wait. 1024 pauses are ~16 us on the 4-core Xeon the
+/// spicebench figures come from (~16 ns per pause), just above the
+/// ~15 us median wake-up of a parked worker there: a resolver whose
+/// chunk is one worker wake-up away sees it done without being put to
+/// sleep and woken itself, while a longer wait hands the core back.
+/// A fixed bound, not a tuning knob.
+inline constexpr unsigned WaitSpins = 1024;
+
+/// Returns once \p Word holds \p Target (acquire): spins up to WaitSpins
+/// pauses, then parks in std::atomic::wait, so whoever stores the
+/// target must notify the word.
+void awaitWord(const std::atomic<uint32_t> &Word, uint32_t Target);
+
 /// A set of per-lane chunk deques with optional back-stealing. One
 /// instance per session; all methods are thread-safe against each other.
 class ChunkDeques {
@@ -91,7 +110,7 @@ public:
     uint64_t Remote = 0;
   };
 
-  /// Prepares \p NumLanes open deques, discarding any previous state
+  /// Prepares \p NumLanes empty deques, discarding any previous state
   /// (including locality: the next lease must call setLocality again).
   void reset(unsigned NumLanes, bool AllowStealing);
 
@@ -104,25 +123,17 @@ public:
   void setLocality(const topology::Placement &P,
                    const std::vector<unsigned> &Workers);
 
-  /// Clears every lane and lifts a previous close(), keeping the lane
-  /// count and stealing mode: the next launch round of a multi-round
-  /// session (batch submission). Only valid while no acquirer is active
-  /// -- i.e. between a wait() and the next launch(), when the leased
-  /// workers are parked.
-  void reopen();
+  /// Drops every pending chunk, keeping the lane count and stealing
+  /// mode. Only valid while no acquirer is active -- between a wait()
+  /// and the next launch().
+  void clear();
 
   void push(unsigned Lane, uint32_t Chunk);
   void pushFront(unsigned Lane, uint32_t Chunk);
 
-  /// Declares that no further chunks will be pushed; blocked acquirers
-  /// drain the remaining chunks and then return false.
-  void close();
-
-  /// Worker-side acquire: blocks (parked on a condition variable) until a
-  /// chunk is available or the deques are closed and fully drained. Pops
-  /// the front of \p Lane's own deque first; otherwise steals from the
-  /// back of another lane and sets \p Stolen. Returns false only on
-  /// closed-and-empty.
+  /// Worker-side acquire: pops the front of \p Lane's own deque, else
+  /// (with stealing) the back of another lane, setting \p Stolen. Never
+  /// blocks: returns false as soon as nothing is pending.
   bool acquire(unsigned Lane, uint32_t &Chunk, bool &Stolen);
 
   /// Producer-side non-blocking help: pops the oldest pending chunk
@@ -138,9 +149,6 @@ public:
   StealCounters takeStealCounters();
 
 private:
-  bool tryAcquire(unsigned Lane, uint32_t &Chunk, bool &Stolen);
-  void bumpEpoch();
-
   /// One per-lane deque. Mutex-guarded; padded indirectly by the
   /// surrounding unique_ptr allocation granularity.
   struct Lane {
@@ -150,12 +158,6 @@ private:
 
   std::vector<std::unique_ptr<Lane>> Lanes;
   bool Stealing = true;
-  std::atomic<bool> Closed{true};
-  /// Wakes parked acquirers. Epoch bumps on every push/close; an acquirer
-  /// samples it before scanning so a concurrent push can never be missed.
-  std::mutex Mutex;
-  std::condition_variable CV;
-  std::atomic<uint64_t> Epoch{0};
 
   /// Locality state (setLocality). The vectors keep their capacity
   /// across reset() so a recycled session's lease re-fills them without
@@ -202,26 +204,25 @@ public:
   /// no placement. What the loop's per-chunk buffer draw keys on.
   unsigned laneNode(unsigned Lane) const;
 
-  /// Wakes the leased workers to run Job(LaneIndex), LaneIndex in
-  /// [0, lanes()). The client thread does not participate and may execute
-  /// its own chunk concurrently. Must be paired with wait().
+  /// Wakes the leased workers -- through their wake words, no one else
+  /// -- to run Job(LaneIndex), LaneIndex in [0, lanes()). The client
+  /// thread does not participate and may execute its own chunk
+  /// concurrently. Must be paired with wait().
   void launch(std::function<void(unsigned)> Job);
 
-  /// Blocks until every leased worker has finished the launched job.
+  /// Returns once every leased worker has finished the launched job:
+  /// a short spin on the running-lane countdown, then a park on it.
   void wait();
 
   /// This session's chunk deques (see ChunkDeques; one lane per leased
-  /// worker, reset open by tryAcquireSessionFor).
+  /// worker, reset empty by tryAcquireSessionFor).
   void pushChunk(unsigned Lane, uint32_t Chunk) { Deques.push(Lane, Chunk); }
   void pushChunkFront(unsigned Lane, uint32_t Chunk) {
     Deques.pushFront(Lane, Chunk);
   }
-  void closeQueues() { Deques.close(); }
-  /// Reopens the deques for another launch round on the same lease
-  /// (batch elements re-launch the session; see SpiceLoop::submitBatch).
-  /// Only between wait() and the next launch(), while the leased
-  /// workers are parked.
-  void reopenQueues() { Deques.reopen(); }
+  /// Drops chunks nobody ran (an unwound resolution). Only between
+  /// wait() and the next launch().
+  void clearQueues() { Deques.clear(); }
   bool acquireChunk(unsigned Lane, uint32_t &Chunk, bool &Stolen) {
     return Deques.acquire(Lane, Chunk, Stolen);
   }
@@ -244,12 +245,14 @@ private:
   std::thread::id Owner;         ///< Thread that acquired the lease.
   detail::ChunkDeques Deques;
   /// The launched job, stored once per session (not copied per slot).
-  /// Written by launch() under the pool mutex; stable until the next
-  /// launch, which the protocol orders after wait() -- so workers call
-  /// it concurrently without copying.
+  /// Written by launch() before the wake-word increments that publish
+  /// it; stable until the next launch, which the protocol orders after
+  /// wait() -- so workers call it concurrently without copying.
   std::function<void(unsigned)> Job;
-  bool InFlight = false;  ///< launch() issued, wait() not yet returned.
-  unsigned Remaining = 0; ///< Workers still running the job (pool mutex).
+  bool InFlight = false; ///< launch() issued, wait() not yet returned.
+  /// Leased workers still running the job. The worker that takes it to
+  /// zero notifies it; wait() parks on it.
+  std::atomic<uint32_t> Remaining{0};
 };
 
 /// Session-freelist counters, read via WorkerPool::sessionPoolStats().
@@ -355,6 +358,11 @@ public:
   /// nature, exposed for tests and diagnostics).
   unsigned freeWorkers() const;
 
+  /// Workers woken by a launch that have not yet left its job (same
+  /// snapshot caveat). A leased lane that has run out of chunks is not
+  /// busy: it has left, even though its session still holds it.
+  unsigned busyWorkers() const;
+
   /// Session-freelist counters (see SessionPoolStats). Snapshot under
   /// the pool mutex.
   SessionPoolStats sessionPoolStats() const;
@@ -414,11 +422,14 @@ private:
   void leaseLocked(WorkerSession &S, unsigned Take, std::thread::id Owner,
                    int StartNode);
 
-  /// Per-worker mailbox (guarded by Mutex). A worker runs at most one
-  /// job at a time: Session is the session whose job it runs next, and
-  /// the job itself lives once in that session.
-  struct WorkerSlot {
-    bool HasWork = false;
+  /// Per-worker mailbox, one cache line each. Wake is the worker's wake
+  /// word: even while it is parked, odd from a launch() until it leaves
+  /// the job (launch and worker each add one). Session and Lane are
+  /// written by launch() before its increment publishes them; a wake
+  /// with no Session is the destructor's stop signal. Leased is
+  /// guarded by Mutex.
+  struct alignas(64) WorkerSlot {
+    std::atomic<uint32_t> Wake{0};
     WorkerSession *Session = nullptr;
     unsigned Lane = 0;
     bool Leased = false;
@@ -439,8 +450,6 @@ private:
   std::function<void()> ReleaseHook;
 
   mutable std::mutex Mutex;
-  std::condition_variable WakeCV; ///< Workers park here.
-  std::condition_variable DoneCV; ///< WorkerSession::wait() parks here.
   std::vector<WorkerSlot> Slots;
   unsigned FreeCount = 0;
   /// Free workers per placement node (guarded by Mutex; maintained only
@@ -449,7 +458,6 @@ private:
   /// Leased workers per acquiring thread (callerHoldsEntirePool; keyed
   /// by the session's owner, guarded by Mutex).
   std::unordered_map<std::thread::id, unsigned> WorkersHeldByThread;
-  bool ShuttingDown = false;
   /// Released sessions parked for reuse, sharded by the node of the
   /// session's first worker -- one shard without locality (guarded by
   /// Mutex; deleted in the pool destructor). Reusing a session reuses

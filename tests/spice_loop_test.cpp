@@ -456,10 +456,13 @@ TEST(OversubscribedSpice, ForcedMispredictionsStillCorrect) {
 
 TEST(OversubscribedMcf, StalePotentialsRecoverThroughStealableChunks) {
   // The mcf walk writes shared memory; with stale potentials the
-  // chunk-boundary reads fail commit-time validation. Oversubscribed, the
-  // failed chunk is re-enqueued as a stealable recovery chunk (instead of
-  // the paper's serial replay) and the ordered commit must still produce
-  // exactly the sequential potentials.
+  // chunk-boundary reads may fail commit-time validation. Oversubscribed,
+  // a failed chunk is re-enqueued as a stealable recovery chunk (instead
+  // of the paper's serial replay) and the ordered commit must still
+  // produce exactly the sequential potentials. Whether a read is stale
+  // depends on the schedule, so the conflict-then-requeue path itself is
+  // pinned down deterministically by spice_runtime_test's
+  // LoopBuilder.StaleReadConflictRecoversThroughARequeuedChunk.
   BasisTree TreeSpice(800, 241);
   BasisTree TreeRef(800, 241);
   McfTraits Traits;
@@ -484,12 +487,6 @@ TEST(OversubscribedMcf, StalePotentialsRecoverThroughStealableChunks) {
     TreeSpice.mutate(/*Arcs=*/40, /*Relocations=*/0, /*PropagateNow=*/false);
     TreeRef.mutate(40, 0, false);
   }
-  const SpiceStats &S = Loop.stats();
-  EXPECT_GT(S.ConflictSquashes, 0u)
-      << "stale potentials must trip value validation at least once";
-  EXPECT_GT(S.RecoveryChunks, 0u)
-      << "oversubscribed recovery must go through re-enqueued chunks";
-  EXPECT_GT(S.RecoveryIterations, 0u);
 }
 
 TEST(OversubscribedKs, ShrinkingListStaysCorrectAndParallel) {

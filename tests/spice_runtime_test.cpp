@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -68,7 +69,6 @@ TEST(WorkerSession, RunsJobOncePerLaneWithSessionQueues) {
   std::vector<std::atomic<int>> Hits(30);
   for (uint32_t C = 0; C != 30; ++C)
     S->pushChunk(C % 3, C);
-  S->closeQueues();
   S->launch([&](unsigned Lane) {
     uint32_t C;
     bool Stolen;
@@ -352,6 +352,167 @@ TEST(SpiceRuntime, StableOtterStatsMatchPaperProtocolGolden) {
     expectStatsEqual(runStableOtter(Loop), stableOtterGolden(K),
                      /*Oversubscribed=*/K > 1);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Lane hand-offs: lanes leave at empty, the resolver runs late requeues
+//===----------------------------------------------------------------------===//
+
+TEST(SpiceRuntime, SubmitStormFromTwoClientsOnTwoWorkers) {
+  // Back-to-back submit().get() from two clients on a 2-worker pool: every
+  // round trip wakes the leased lanes, which leave once their deques are
+  // empty, and the resolver spins or parks on done words and on the
+  // session countdown. A lost wake-up hangs here; a torn hand-off shows
+  // as a wrong sum.
+  constexpr int64_t Trip = 256;
+  constexpr int PerClient = 10000;
+  SpiceRuntime RT(/*NumThreads=*/3);
+  auto MakeCount = [&] {
+    return LoopBuilder<int64_t, uint64_t>()
+        .step([](int64_t &I, uint64_t &S, SpecSpace &) {
+          if (I >= Trip)
+            return false;
+          S += static_cast<uint64_t>(I);
+          ++I;
+          return true;
+        })
+        .combine([](uint64_t &Into, uint64_t &&Chunk) { Into += Chunk; })
+        .build(RT);
+  };
+  auto A = MakeCount();
+  auto B = MakeCount();
+  const uint64_t Want = A.runSequentialReference(0);
+  ASSERT_EQ(Want, static_cast<uint64_t>(Trip * (Trip - 1) / 2));
+  std::atomic<int> Wrong{0};
+  auto Client = [&](decltype(A) &Loop) {
+    for (int I = 0; I != PerClient; ++I)
+      if (Loop.submit(0).get() != Want)
+        Wrong.fetch_add(1);
+  };
+  std::thread TA([&] { Client(A); });
+  std::thread TB([&] { Client(B); });
+  TA.join();
+  TB.join();
+  EXPECT_EQ(Wrong.load(), 0);
+  EXPECT_EQ(A.stats().Invocations + B.stats().Invocations, 2u * PerClient);
+  EXPECT_GT(A.stats().LaunchedSpecThreads, 0u) << "the storm ran parallel";
+  EXPECT_EQ(RT.pool().busyWorkers(), 0u);
+  EXPECT_EQ(RT.pool().freeWorkers(), 2u);
+}
+
+namespace {
+
+/// The conflict loop of the two tests below, at k = 2 with conflict
+/// detection: every iteration reads one shared cell through the
+/// SpecSpace, and iteration 0 -- chunk 0's, on the client thread --
+/// writes it, after waiting (bounded) for Ready() once Armed. A
+/// speculative chunk that read the cell before that write fails
+/// commit-time read validation on every schedule; it is requeued from
+/// its validated start, and the re-execution reads the written value.
+struct ConflictCell {
+  static constexpr int64_t Trip = 4096;
+  /// Sum over iterations of I plus the cell (1 once written).
+  static constexpr uint64_t Want = Trip * (Trip - 1) / 2 + Trip;
+
+  ConflictCell(SpiceRuntime &RT, std::function<bool()> Ready)
+      : Ready(std::move(Ready)), Client(std::this_thread::get_id()),
+        Loop(build(RT)) {}
+
+  /// One oracle-checked invocation with the cell and StaleReads reset.
+  void invoke() {
+    Cell = 0;
+    StaleReads = 0;
+    EXPECT_EQ(Loop.invoke(0), Want);
+  }
+
+  int64_t Cell = 0;
+  bool Armed = false;
+  std::function<bool()> Ready;
+  const std::thread::id Client;
+  /// Speculative reads that saw the cell unwritten, this invocation.
+  std::atomic<unsigned> StaleReads{0};
+  /// Speculative reads of the written cell -- recovery executions -- on
+  /// a thread other than the client's.
+  std::atomic<unsigned> OffClientFreshReads{0};
+  LambdaLoop<int64_t, uint64_t> Loop;
+
+private:
+  LambdaLoop<int64_t, uint64_t> build(SpiceRuntime &RT) {
+    LoopOptions O;
+    O.ChunksPerThread = 2;
+    O.EnableConflictDetection = true;
+    return LoopBuilder<int64_t, uint64_t>()
+        .step([this](int64_t &I, uint64_t &S, SpecSpace &Mem) {
+          if (I >= Trip)
+            return false;
+          if (I == 0) {
+            const auto Deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (Armed && !Ready() &&
+                   std::chrono::steady_clock::now() < Deadline)
+              std::this_thread::yield();
+            Mem.write(&Cell, int64_t{1});
+          }
+          const int64_t V = Mem.read(&Cell);
+          if (Mem.isSpeculative() && V == 0)
+            StaleReads.fetch_add(1, std::memory_order_relaxed);
+          else if (Mem.isSpeculative() && std::this_thread::get_id() != Client)
+            OffClientFreshReads.fetch_add(1, std::memory_order_relaxed);
+          S += static_cast<uint64_t>(I) + static_cast<uint64_t>(V);
+          ++I;
+          return true;
+        })
+        .combine([](uint64_t &Into, uint64_t &&Chunk) { Into += Chunk; })
+        .options(O)
+        .build(RT);
+  }
+};
+
+} // namespace
+
+TEST(LoopBuilder, StaleReadConflictRecoversThroughARequeuedChunk) {
+  // One worker: chunk 1 is the first chunk its lane runs, so the first
+  // stale read is chunk 1's, and chunk 0 writes the cell only after it.
+  SpiceRuntime RT(/*NumThreads=*/2);
+  ConflictCell C(RT, [&] { return C.StaleReads.load() > 0; });
+  C.invoke(); // Sequential bootstrap: seeds the predictions.
+  C.Armed = true;
+  constexpr unsigned Rounds = 4;
+  for (unsigned R = 0; R != Rounds; ++R)
+    C.invoke();
+  const SpiceStats &S = C.Loop.stats();
+  EXPECT_GE(S.ConflictSquashes, Rounds)
+      << "chunk 1's stale read must fail validation every invocation";
+  EXPECT_GE(S.RecoveryChunks, Rounds)
+      << "k = 2 recovers through requeued chunks, not a serial replay";
+  EXPECT_GT(S.RecoveryIterations, 0u);
+  EXPECT_EQ(S.MisspeculatedInvocations, Rounds);
+}
+
+TEST(LoopBuilder, ResolverRunsARequeuePushedAfterEveryLaneLeft) {
+  // Chunk 0 writes the cell only once both lanes have left the job, so
+  // every speculative chunk read it stale and every recovery requeue is
+  // pushed with no lane left to take it: the resolver must run them all
+  // (a lane parked inside the session would be needed otherwise), and
+  // the steal accounting identity must still hold.
+  SpiceRuntime RT(/*NumThreads=*/3);
+  // The lanes were woken at the grant, before chunk 0 started, so no
+  // busy worker means both have run out of chunks and left.
+  ConflictCell C(RT, [&] { return RT.pool().busyWorkers() == 0; });
+  C.invoke();
+  C.Armed = true;
+  constexpr unsigned Rounds = 3;
+  for (unsigned R = 0; R != Rounds; ++R)
+    C.invoke();
+  const SpiceStats &S = C.Loop.stats();
+  EXPECT_GE(S.RecoveryChunks, Rounds);
+  EXPECT_EQ(S.ConflictSquashes, S.RecoveryChunks);
+  EXPECT_EQ(S.MainHelpedChunks, S.RecoveryChunks)
+      << "only the resolver may run a requeue pushed after the lanes left";
+  EXPECT_EQ(S.StolenRecoveryChunks, S.RecoveryChunks);
+  EXPECT_EQ(C.OffClientFreshReads.load(), 0u);
+  EXPECT_EQ(S.LocalSteals + S.RemoteSteals,
+            S.StolenChunks - S.MainHelpedChunks);
 }
 
 //===----------------------------------------------------------------------===//

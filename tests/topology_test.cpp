@@ -294,7 +294,6 @@ TEST(StealCounters, CrossNodeStealCountsAsRemote) {
   ASSERT_EQ(S->lanes(), 3u);
   S->pushChunk(0, 1);
   S->pushChunk(0, 2);
-  S->closeQueues();
   uint32_t C = 0;
   bool Stolen = false;
   ASSERT_TRUE(S->acquireChunk(1, C, Stolen)); // Lane 1 raids lane 0.
@@ -314,7 +313,6 @@ TEST(StealCounters, SameNodeStealCountsAsLocal) {
   auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 2u) << "node-packed: both lanes on one node";
   S->pushChunk(0, 1);
-  S->closeQueues();
   uint32_t C = 0;
   bool Stolen = false;
   ASSERT_TRUE(S->acquireChunk(1, C, Stolen));
@@ -328,7 +326,6 @@ TEST(StealCounters, TopologyBlindPoolCountsEveryStealLocal) {
   WorkerPool Pool(2);
   auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   S->pushChunk(0, 1);
-  S->closeQueues();
   uint32_t C = 0;
   bool Stolen = false;
   ASSERT_TRUE(S->acquireChunk(1, C, Stolen));

@@ -73,6 +73,30 @@ TEST(WorkerPool, CallerRunsConcurrentlyWithWorkers) {
   EXPECT_TRUE(WorkerSawFlag.load());
 }
 
+TEST(WorkerPool, LaunchWakesOnlyTheLeasedWorkers) {
+  // One lane blocks inside its job until released: the pool counts it
+  // busy, the unleased worker stays parked, and a lane that has left its
+  // job is no longer busy even though the session still leases it.
+  WorkerPool Pool(3);
+  auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  ASSERT_EQ(S->lanes(), 2u);
+  EXPECT_EQ(Pool.busyWorkers(), 0u);
+  std::atomic<bool> Release{false};
+  S->launch([&](unsigned Lane) {
+    if (Lane == 0)
+      while (!Release.load())
+        std::this_thread::yield();
+  });
+  // Lane 1 returns at once; lane 0 holds its job until Release.
+  for (int I = 0; I != 1'000'000 && Pool.busyWorkers() != 1; ++I)
+    std::this_thread::yield();
+  EXPECT_EQ(Pool.busyWorkers(), 1u);
+  Release = true;
+  S->wait();
+  EXPECT_EQ(Pool.busyWorkers(), 0u);
+  EXPECT_EQ(Pool.freeWorkers(), 1u);
+}
+
 TEST(WorkerPool, DestructionJoinsCleanly) {
   for (int I = 0; I != 20; ++I) {
     WorkerPool Pool(2);
@@ -128,7 +152,6 @@ TEST(WorkerPoolQueues, OwnLanePopsInFifoOrder) {
   Q.push(0, 1);
   Q.push(0, 2);
   Q.push(0, 3);
-  Q.close();
   uint32_t C = 0;
   bool Stolen = true;
   ASSERT_TRUE(Q.acquire(0, C, Stolen));
@@ -138,7 +161,7 @@ TEST(WorkerPoolQueues, OwnLanePopsInFifoOrder) {
   EXPECT_EQ(C, 2u);
   ASSERT_TRUE(Q.acquire(0, C, Stolen));
   EXPECT_EQ(C, 3u);
-  EXPECT_FALSE(Q.acquire(0, C, Stolen)) << "closed and drained";
+  EXPECT_FALSE(Q.acquire(0, C, Stolen)) << "drained";
 }
 
 TEST(WorkerPoolQueues, StealsMostSpeculativeChunkFromTheBack) {
@@ -146,7 +169,6 @@ TEST(WorkerPoolQueues, StealsMostSpeculativeChunkFromTheBack) {
   Q.reset(2, /*AllowStealing=*/true);
   Q.push(0, 1); // Lane 0 holds {1, 3}; lane 1 is empty.
   Q.push(0, 3);
-  Q.close();
   uint32_t C = 0;
   bool Stolen = false;
   ASSERT_TRUE(Q.acquire(1, C, Stolen));
@@ -163,7 +185,6 @@ TEST(WorkerPoolQueues, StealingCanBeDisabled) {
   ChunkDeques Q;
   Q.reset(2, /*AllowStealing=*/false);
   Q.push(0, 1);
-  Q.close();
   uint32_t C = 0;
   bool Stolen = false;
   EXPECT_FALSE(Q.acquire(1, C, Stolen));
@@ -191,25 +212,27 @@ TEST(WorkerPoolQueues, HelpPopFrontPrefersOldestChunkAcrossLanes) {
   EXPECT_EQ(Q.pending(), 0u);
 }
 
-TEST(WorkerPoolQueues, AcquireBlocksUntilLateWorkOrClose) {
-  // A consumer parked in acquire must pick up work pushed after it
-  // started waiting (the recovery re-enqueue path), then exit on close.
+TEST(WorkerPoolQueues, AcquireReturnsFalseOnEmptyDequesWithoutBlocking) {
+  // A lane leaves its job as soon as nothing is pending: acquire on
+  // empty deques must return false at once (this test would hang if it
+  // parked), and a chunk pushed afterwards -- a late recovery requeue --
+  // is still there for the next acquirer or helpPopFront.
   ChunkDeques Q;
-  Q.reset(1, /*AllowStealing=*/true);
-  std::vector<uint32_t> Got;
-  std::thread Consumer([&] {
-    uint32_t C;
-    bool Stolen;
-    while (Q.acquire(0, C, Stolen))
-      Got.push_back(C);
-  });
-  Q.push(0, 11);
-  Q.push(0, 12);
-  Q.close();
-  Consumer.join();
-  ASSERT_EQ(Got.size(), 2u);
-  EXPECT_EQ(Got[0], 11u);
-  EXPECT_EQ(Got[1], 12u);
+  Q.reset(2, /*AllowStealing=*/true);
+  uint32_t C = 0;
+  bool Stolen = false;
+  EXPECT_FALSE(Q.acquire(0, C, Stolen));
+  EXPECT_FALSE(Q.acquire(1, C, Stolen));
+  Q.pushFront(0, 11);
+  ASSERT_TRUE(Q.acquire(1, C, Stolen));
+  EXPECT_EQ(C, 11u);
+  EXPECT_TRUE(Stolen);
+  EXPECT_FALSE(Q.acquire(0, C, Stolen));
+  Q.push(1, 12);
+  ASSERT_TRUE(Q.helpPopFront(C));
+  EXPECT_EQ(C, 12u);
+  EXPECT_FALSE(Q.acquire(1, C, Stolen));
+  EXPECT_EQ(Q.pending(), 0u);
 }
 
 TEST(WorkerPoolQueues, OversubscribedDrainExecutesEveryChunkOnce) {
@@ -219,7 +242,6 @@ TEST(WorkerPoolQueues, OversubscribedDrainExecutesEveryChunkOnce) {
   std::vector<std::atomic<int>> Hits(64);
   for (uint32_t C = 0; C != 64; ++C)
     Q.push(C % 3, C);
-  Q.close();
   std::vector<std::thread> Lanes;
   for (unsigned Lane = 0; Lane != 3; ++Lane)
     Lanes.emplace_back([&, Lane] {
