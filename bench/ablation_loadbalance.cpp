@@ -31,6 +31,11 @@
 //     match the best static k on each kernel and beat the best single
 //     static k on the suite geomean (exit 1 otherwise).
 //
+// Every loop keeps speculation on (LoopOptions::AlwaysSpeculate), so the
+// ablations measure granularity, memoization and recovery rather than
+// the chunk controller's sequential rung. One printed, ungated row shows
+// the rung's effect on the packets and mcf kernels at static k = 2.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -57,6 +62,14 @@ using namespace spice::workloads;
 
 namespace {
 
+/// Options every loop of this bench starts from: speculation stays on
+/// even where it loses (see the file comment).
+LoopOptions speculating() {
+  LoopOptions O;
+  O.AlwaysSpeculate = true;
+  return O;
+}
+
 struct Outcome {
   SpiceStats Stats;
   bool Correct = true;
@@ -66,7 +79,7 @@ Outcome runKsPass(SpiceRuntime &RT, bool Rememoize) {
   KsGraph G(512, 6, 7);
   KsTraits Traits;
   Traits.Graph = &G;
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.RememoizeEveryInvocation = Rememoize;
   auto Loop = RT.makeLoop(Traits, O);
   Outcome Out;
@@ -88,7 +101,7 @@ Outcome runKsPass(SpiceRuntime &RT, bool Rememoize) {
 Outcome runOtterChurn(SpiceRuntime &RT, bool Rememoize) {
   ClauseList List(1200, 8);
   OtterTraits Traits;
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.RememoizeEveryInvocation = Rememoize;
   auto Loop = RT.makeLoop(Traits, O);
   Outcome Out;
@@ -169,7 +182,7 @@ SweepPoint runHotspotSweep(SpiceRuntime &RT, unsigned ChunksPerThread,
   Traits.Trip = Trip;
   Traits.HotLen = Trip / 4;
   Traits.HotStart = Trip / 3; // Deliberately boundary-unaligned.
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.ChunksPerThread = ChunksPerThread;
   // Paper default: unit work metric. The planner balances iteration
   // counts and is blind to the hotspot.
@@ -245,7 +258,7 @@ struct ConflictPoint {
 
 ConflictPoint runSsspConflicts(SpiceRuntime &RT, CsrGraph G, int Rounds) {
   SsspWorkload Work(std::move(G), /*Source=*/0);
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.ChunksPerThread = 2;
   auto Loop = Work.makeLoop(RT, O);
   bool Correct = true;
@@ -273,7 +286,7 @@ ConflictPoint runPacketRecovery(SpiceRuntime &RT, unsigned ChunksPerThread,
                                 int Invocations, size_t TraceLen) {
   PacketPipeline Live(256, 64, TraceLen, 91);
   PacketPipeline Ref(256, 64, TraceLen, 91);
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.ChunksPerThread = ChunksPerThread;
   auto Loop = Live.makeLoop(RT, O);
   bool Correct = true;
@@ -306,8 +319,9 @@ ConflictPoint runPacketRecovery(SpiceRuntime &RT, unsigned ChunksPerThread,
 
 struct KernelResult {
   double Score = 0.0;
-  double RecoveryFraction = 0.0; ///< Second-half recovery share.
-  unsigned FinalK = 0;           ///< tuning() k after the run.
+  double RecoveryFraction = 0.0;   ///< Second-half recovery share.
+  double SequentialFraction = 0.0; ///< Scored-window sequential share.
+  unsigned FinalK = 0;             ///< tuning() k after the run.
   bool Correct = true;
 };
 
@@ -328,6 +342,11 @@ KernelResult scoreWindow(const SpiceStats &End, const SpiceStats &Mid,
   if (S.Iterations)
     R.RecoveryFraction = static_cast<double>(S.RecoveryIterations) /
                          static_cast<double>(S.Iterations);
+  if (const uint64_t Inv = End.Invocations - Mid.Invocations)
+    R.SequentialFraction =
+        static_cast<double>(End.SequentialInvocations -
+                            Mid.SequentialInvocations) /
+        static_cast<double>(Inv);
   R.Correct = Correct;
   return R;
 }
@@ -335,7 +354,7 @@ KernelResult scoreWindow(const SpiceStats &End, const SpiceStats &Mid,
 KernelResult runOtterKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv) {
   ClauseList List(1200, 8);
   OtterTraits Traits;
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.Chunking = CP;
   auto Loop = RT.makeLoop(Traits, O);
   bool Correct = true;
@@ -406,7 +425,7 @@ KernelResult runRefreshKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv,
   Traits.WritePos = Trip / 4 + 4;
   Traits.ReaderStride = Trip / 4;
   Traits.ReaderOffset = 8;
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.Chunking = CP;
   O.EnableConflictDetection = true;
   auto Loop = RT.makeLoop(Traits, O);
@@ -476,7 +495,7 @@ KernelResult runPinnedHotspotKernel(SpiceRuntime &RT, ChunkPolicy CP,
   PinnedHotspotTraits Traits;
   Traits.Trip = Trip;
   Traits.HotLen = Trip / 4;
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.Chunking = CP;
   O.UseWeightedWork = true;
   O.RememoizeEveryInvocation = false;
@@ -499,7 +518,7 @@ KernelResult runKsKernel(SpiceRuntime &RT, ChunkPolicy CP, int Steps) {
   KsGraph G(512, 6, 7);
   KsTraits Traits;
   Traits.Graph = &G;
-  LoopOptions O;
+  LoopOptions O = speculating();
   O.Chunking = CP;
   auto Loop = RT.makeLoop(Traits, O);
   bool Correct = true;
@@ -527,10 +546,12 @@ KernelResult runKsKernel(SpiceRuntime &RT, ChunkPolicy CP, int Steps) {
 /// packet pipeline, every extra boundary is another conflict surface, so
 /// coarse chunks win -- but through the conflict-detection path rather
 /// than counter collisions.
-KernelResult runMcfKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv) {
+KernelResult runMcfKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv,
+                          bool Rung = false) {
   BasisTree Tree(2048, 31);
   McfTraits Traits;
-  LoopOptions O;
+  LoopOptions O = speculating();
+  O.AlwaysSpeculate = !Rung;
   O.Chunking = CP;
   O.EnableConflictDetection = true;
   auto Loop = RT.makeLoop(Traits, O);
@@ -549,10 +570,11 @@ KernelResult runMcfKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv) {
 }
 
 KernelResult runPacketsKernel(SpiceRuntime &RT, ChunkPolicy CP, int Inv,
-                              size_t TraceLen) {
+                              size_t TraceLen, bool Rung = false) {
   PacketPipeline Live(256, 64, TraceLen, 91);
   PacketPipeline Ref(256, 64, TraceLen, 91);
-  LoopOptions O;
+  LoopOptions O = speculating();
+  O.AlwaysSpeculate = !Rung;
   O.Chunking = CP;
   auto Loop = Live.makeLoop(RT, O);
   bool Correct = true;
@@ -813,6 +835,20 @@ int main() {
               "the rest of the\ntrip sequentially; the pinned hotspot is "
               "indifferent), so one feedback\ncontroller per loop beats "
               "any one number in LoopOptions.\n");
+
+  // The sequential rung's effect on the two conflict-bound kernels,
+  // printed and not gated: every run above kept speculation on.
+  std::printf("\nWith the sequential rung on (static k=2, not gated):\n");
+  std::printf("%-24s | %8s | %8s\n", "kernel", "score", "seq-frac");
+  const KernelResult RungPkt = runPacketsKernel(
+      RT, ChunkPolicy::Static(2), AdPktInv, AdPktLen, /*Rung=*/true);
+  const KernelResult RungMcf =
+      runMcfKernel(RT, ChunkPolicy::Static(2), AdMcfInv, /*Rung=*/true);
+  std::printf("%-24s | %8.4f | %8.4f\n", "packets (counter-dense)",
+              RungPkt.Score, RungPkt.SequentialFraction);
+  std::printf("%-24s | %8.4f | %8.4f\n", "mcf (stale potentials)",
+              RungMcf.Score, RungMcf.SequentialFraction);
+  SweepCorrect &= RungPkt.Correct && RungMcf.Correct;
   AllCorrect &= SweepCorrect;
 
   spice::benchutil::BenchJson Json("ablation_loadbalance");

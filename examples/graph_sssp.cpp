@@ -54,9 +54,11 @@ int main() {
   const SpiceStats &S = Relax.stats();
   std::printf("\nwaves:                 %zu\n", Waves);
   std::printf("vertices reached:      %zu\n", Reached);
-  std::printf("invocations:           %lu (%lu ran sequentially)\n",
+  std::printf("invocations:           %lu (%lu ran sequentially, %lu of "
+              "them held by the sequential rung)\n",
               (unsigned long)S.Invocations,
-              (unsigned long)S.SequentialInvocations);
+              (unsigned long)S.SequentialInvocations,
+              (unsigned long)S.RungHeldInvocations);
   std::printf("mis-speculated:        %lu (frontier churn + distance "
               "conflicts)\n",
               (unsigned long)S.MisspeculatedInvocations);

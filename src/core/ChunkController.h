@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The online controller behind LoopOptions::ChunkPolicy::Adaptive: it
+/// The online controller behind LoopOptions::ChunkPolicy::Adaptive -- and
+/// behind every loop not pinned at k = 1, for its sequential rung: it
 /// replaces the static ChunksPerThread knob with a per-loop feedback
 /// loop over the counters the runtime already tracks. No single static k
 /// wins across workloads -- counter-dense loops (the packet pipeline)
@@ -17,7 +18,8 @@
 ///
 /// The controller is a deterministic epoch-based hill climb over the
 /// chunks-per-thread ladder (k doubles or halves, clamped to
-/// [MinK, MaxK]):
+/// [MinK, MaxK]; a MinK == MaxK controller never moves k and starts
+/// steady):
 ///
 ///  * every completed parallel invocation contributes one
 ///    InvocationSample; after EpochInvocations samples the controller
@@ -28,19 +30,39 @@
 ///    discards SettleEpochs epochs after each move and only scores the
 ///    settled behavior (probe comparisons are settled-vs-settled);
 ///  * while *probing*, it compares the epoch score against the previous
-///    epoch's: an improvement beyond the Deadband keeps moving in the
+///    epoch's: an improvement beyond the deadband keeps moving in the
 ///    same direction; a regression -- or a flat result -- steps back and
 ///    settles on the rung it came from (a move must earn its keep, so
 ///    noise never walks k away from a good setting);
 ///  * once *steady*, it holds k (hysteresis) until the epoch score
-///    DETERIORATES by more than Drift below the score it settled on -- a
-///    workload shift -- and then resumes probing, picking the first
-///    direction from the counters themselves: a high recovery or wasted
-///    fraction means chunk boundaries are hurting (go coarser; when
-///    already at MinK, hold instead of probing the known-bad way),
+///    DETERIORATES by more than the drift band below the score it
+///    settled on -- a workload shift -- and then resumes probing, picking
+///    the first direction from the counters themselves: a high recovery
+///    or wasted fraction means chunk boundaries are hurting (go coarser;
+///    when already at MinK, hold instead of probing the known-bad way),
 ///    otherwise the remaining suspect is load imbalance (go finer).
 ///    Improvements are absorbed into the tracked score, never probed:
-///    if the current k got better, there is no evidence against it.
+///    if the current k got better, there is no evidence against it;
+///  * below MinK sits the *sequential rung*. An epoch whose speculation
+///    loses -- wasted plus re-executed iterations above half the
+///    committed ones, in at least half of its invocations -- puts the
+///    loop on the rung: holding() turns true and SpiceLoop runs the next
+///    invocations sequentially (no scheduler trip, no lanes), memoizing
+///    through the plan so predictions stay fresh. After the hold, one
+///    probe epoch speculates again at the current k: a probe that loses
+///    doubles the hold (up to a cap) and holds again, a probe that does
+///    not lose takes the loop off the rung. Every epoch that does not
+///    lose halves the hold, and the next entry starts from it: a loop
+///    whose probes only sometimes win keeps its backoff. The rung
+///    epochs -- the one that enters and every probe -- decide only the
+///    rung; the k climb resumes with the next epoch.
+///    ChunkControllerConfig::SequentialRung = false
+///    (LoopOptions::AlwaysSpeculate) turns the rung off.
+///
+/// The thresholds, bands and hold lengths are named constants in
+/// ChunkController.cpp. The rung ignores fixed per-invocation cost on
+/// purpose: it asks whether speculation does useful work, not whether a
+/// parallel round trip beats a sequential one on a tiny input.
 ///
 /// The controller consumes plain numbers and owns no clock, so its k
 /// trajectory is a pure function of the sample trace: tests replay a
@@ -60,8 +82,9 @@
 namespace spice {
 namespace core {
 
-/// Knobs of the adaptive chunk controller; defaults are the
-/// ChunkPolicy::Adaptive defaults (see core/SpiceConfig.h).
+/// Settings of one loop's chunk controller, taken from its ChunkPolicy
+/// and LoopOptions (see core/SpiceConfig.h). The bands, thresholds and
+/// hold lengths the decisions use are constants (ChunkController.cpp).
 struct ChunkControllerConfig {
   /// Inclusive chunks-per-thread range the controller moves within.
   unsigned MinK = 1;
@@ -69,23 +92,6 @@ struct ChunkControllerConfig {
   /// Parallel invocations scored per decision. Sequential invocations
   /// carry no chunk-granularity signal and do not count.
   unsigned EpochInvocations = 6;
-  /// Relative score change treated as noise: moves are only made on
-  /// improvements/regressions beyond this band (hysteresis). Epoch means
-  /// of squash-heavy loops wander several percent, so the band is wide
-  /// enough that a probe must show a real gain to keep the new k.
-  double Deadband = 0.08;
-  /// Once steady, an epoch score DETERIORATION beyond this fraction of
-  /// the tracked steady score re-opens probing (workload shift). Wander
-  /// within the band -- and any improvement -- is absorbed into the
-  /// tracked score instead: a k that got better needs no probe.
-  double Drift = 0.30;
-  /// Recovery fraction above which the re-probe direction is "coarser"
-  /// (counter-dense loops re-execute more at finer granularity).
-  double RecoveryHigh = 0.05;
-  /// Wasted (squashed-chunk) fraction above which the re-probe direction
-  /// is likewise "coarser": churn-heavy list loops lose whole chunks to
-  /// rare squashes, and finer chunks only add boundaries to lose at.
-  double WasteHigh = 0.05;
   /// Epochs discarded (not scored) after every k move. Changing the
   /// granularity recuts the memoization plan, and the first invocations
   /// on the new rung run with transitional boundaries (grown rows fill
@@ -93,6 +99,9 @@ struct ChunkControllerConfig {
   /// that churn would systematically undervalue every probe. One settle
   /// epoch makes probe comparisons settled-vs-settled.
   unsigned SettleEpochs = 1;
+  /// Whether a losing epoch may put the loop on the sequential rung;
+  /// false is LoopOptions::AlwaysSpeculate.
+  bool SequentialRung = true;
 };
 
 /// One completed invocation's counter deltas, as SpiceLoop tracks them
@@ -113,6 +122,9 @@ struct InvocationSample {
   double LoadImbalance = 0.0;
   /// Planner-granularity max-chunk / ideal-chunk, or <= 0 (same rule).
   double ChunkImbalance = 0.0;
+  /// At least one speculative chunk was squashed
+  /// (MisspeculatedInvocations delta).
+  bool Misspeculated = false;
   /// True for a sequential invocation: no usable granularity signal.
   bool Sequential = false;
 };
@@ -126,6 +138,11 @@ public:
 
   /// Chunks per thread the next invocation should plan for.
   unsigned currentK() const { return K; }
+
+  /// True while the loop sits on the sequential rung: the next
+  /// invocation must run sequentially and be reported as a Sequential
+  /// sample, which counts down the hold.
+  bool holding() const { return Holding; }
 
   /// Consumes one completed invocation and returns the k for the next
   /// one (changes only at epoch boundaries).
@@ -155,6 +172,10 @@ public:
     uint64_t Grows = 0;        ///< Moves to a finer k.
     uint64_t Shrinks = 0;      ///< Moves to a coarser k.
     uint64_t Reprobes = 0;     ///< Steady holds broken by score drift.
+    bool Holding = false;      ///< On the sequential rung.
+    unsigned Hold = 0;         ///< Current or next hold (invocations).
+    uint64_t Probes = 0;       ///< Probe epochs started off the rung.
+    uint64_t LosingProbes = 0; ///< Probes that lost and doubled the hold.
   };
   Snapshot snapshot() const;
 
@@ -166,6 +187,12 @@ private:
   /// Consumes one epoch's mean score and decides the next move.
   void decide(double EpochScore, double EpochRecoveryFraction,
               double EpochWasteFraction);
+
+  /// The sequential rung's part of an epoch decision, given whether the
+  /// epoch's speculation lost. Returns true when the epoch belonged to
+  /// the rung (it entered the rung, or was a probe), in which case the k
+  /// climb does not score it.
+  bool decideRung(bool Losing);
 
   ChunkControllerConfig Cfg;
   unsigned K;
@@ -183,20 +210,29 @@ private:
   uint64_t IterAcc = 0;
   uint64_t RecoveryAcc = 0;
   uint64_t WasteAcc = 0;
+  unsigned MisspecAcc = 0;
+
+  // Sequential rung.
+  bool Holding = false;  ///< Invocations run sequentially (holding()).
+  bool InProbe = false;  ///< The epoch being filled is a probe.
+  unsigned Hold = 0;     ///< Current hold, or the next entry's.
+  unsigned HoldLeft = 0; ///< Held invocations left before the probe.
 
   // Decision counters (Snapshot).
   uint64_t Decisions = 0;
   uint64_t Grows = 0;
   uint64_t Shrinks = 0;
   uint64_t Reprobes = 0;
+  uint64_t Probes = 0;
+  uint64_t LosingProbes = 0;
 };
 
 /// One loop's tuning snapshot (SpiceLoop::tuning()): the effective
 /// chunking the next invocation will use plus the controller state that
-/// chose it. For ChunkPolicy::Static loops the snapshot simply restates
-/// the pinned k.
+/// chose it. For ChunkPolicy::Static loops the snapshot restates the
+/// pinned k (and, at k >= 2, carries the sequential rung's state).
 struct LoopTuning {
-  /// Chunk policy in effect.
+  /// True for ChunkPolicy::Adaptive, false for Static.
   bool Adaptive = false;
   /// Effective chunks per thread the next invocation plans for.
   unsigned ChunksPerThread = 1;
@@ -210,7 +246,8 @@ struct LoopTuning {
   /// relative to the runtime's worker count: GrantedLanes /
   /// (parallel invocations * pool workers). 0 when nothing ran parallel.
   double LaneShare = 0.0;
-  /// Controller state; defaulted for static loops.
+  /// Controller state; a defaulted steady snapshot for loops without a
+  /// controller (Static(1), or a single-threaded runtime).
   ChunkController::Snapshot Controller;
 };
 

@@ -125,10 +125,13 @@ struct RuntimeConfig {
 };
 
 /// Chunk-granularity policy of one loop (LoopOptions::Chunking): either
-/// a pinned chunks-per-thread -- the default, bit-for-bit the historical
-/// behavior -- or online control by a per-loop ChunkController that
-/// moves k inside [MinK, MaxK] from the loop's own counters (see
-/// core/ChunkController.h; docs/tuning.md is the operator guide).
+/// a pinned chunks-per-thread -- the default -- or online control by a
+/// per-loop ChunkController that moves k inside [MinK, MaxK] from the
+/// loop's own counters (see core/ChunkController.h; docs/tuning.md is
+/// the operator guide). Static(1) is bit-for-bit the paper protocol.
+/// Every other policy also gets the controller's sequential rung:
+/// Static(k >= 2) pins the granularity, not whether to speculate (see
+/// LoopOptions::AlwaysSpeculate).
 struct ChunkPolicy {
   enum class Kind : uint8_t { Static, Adaptive };
   Kind Mode = Kind::Static;
@@ -141,10 +144,11 @@ struct ChunkPolicy {
   unsigned MaxK = 0;
 
   /// Parallel invocations the controller scores per decision (see
-  /// ChunkControllerConfig::EpochInvocations). The default suits loops
-  /// whose per-invocation scores are steady; conflict-heavy loops whose
-  /// invocations swing between clean and squashed runs need longer
-  /// epochs so a probe compares means, not single draws.
+  /// ChunkControllerConfig::EpochInvocations) -- also the length of a
+  /// sequential-rung probe, for Static(k >= 2) loops too. The default
+  /// suits loops whose per-invocation scores are steady; conflict-heavy
+  /// loops whose invocations swing between clean and squashed runs need
+  /// longer epochs so a probe compares means, not single draws.
   unsigned EpochInvocations = 6;
 
   /// Pinned k: every invocation runs K chunks per thread.
@@ -185,6 +189,14 @@ struct LoopOptions {
   /// ChunkPolicy::Adaptive(MinK, MaxK) to let the loop tune its own k
   /// (introspect via SpiceLoop::tuning()).
   ChunkPolicy Chunking;
+
+  /// Keeps speculation on where it keeps losing: opts the loop out of
+  /// the chunk controller's sequential rung, which otherwise runs a loop
+  /// sequentially while its epochs throw away or redo more work than
+  /// they commit (docs/tuning.md). For ablations that measure
+  /// granularity or memoization, and tests that pin a recovery path. No
+  /// effect at Static(1), which never uses the rung.
+  bool AlwaysSpeculate = false;
 
   /// Paper's adaptive scheme: memoize fresh live-ins on *every* invocation.
   /// When false, the first invocation's memoized values are reused forever
@@ -273,9 +285,15 @@ struct SpiceStats {
   uint64_t Invocations = 0;
   /// Invocations executed entirely sequentially: no valid prediction
   /// for the first speculative chunk (first invocation, or SVA row 0
-  /// invalidated by a squash). A *partial* valid prefix still runs
+  /// invalidated by a squash), or held by the sequential rung
+  /// (RungHeldInvocations). A *partial* valid prefix still runs
   /// parallel, just with fewer speculative chunks.
   uint64_t SequentialInvocations = 0;
+  /// The subset of SequentialInvocations that ran sequentially because
+  /// the chunk controller's sequential rung held the loop (its
+  /// speculation kept losing; see docs/tuning.md). Always 0 at
+  /// Static(1) and with LoopOptions::AlwaysSpeculate.
+  uint64_t RungHeldInvocations = 0;
   /// Invocations in which at least one speculative chunk was squashed.
   uint64_t MisspeculatedInvocations = 0;
   /// Invocations where every launched chunk validated.

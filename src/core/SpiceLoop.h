@@ -87,7 +87,11 @@
 ///    stealable recovery chunk -- any idle worker (or the resolving main
 ///    thread) picks it up while the not-yet-invalidated successor chunks
 ///    keep running, so recovery proceeds concurrently and validated
-///    downstream work is only discarded if its reads really conflict.
+///    downstream work is only discarded if its reads really conflict;
+///  * a loop not pinned at k = 1 whose speculation keeps losing sits on
+///    its ChunkController's sequential rung: held invocations run the
+///    plain loop (no scheduler trip, no lanes) until a probe epoch
+///    speculates without losing (see core/ChunkController.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -156,12 +160,17 @@ public:
       BufPtrs.push_back(&B);
     // NumChunks (and every invocation-sized structure above) is sized
     // for the policy's largest k; adaptive loops start at MinK and the
-    // controller moves PlanChunks within the allocation.
-    if (Opts.adaptiveChunking() && RT.numThreads() > 1) {
+    // controller moves PlanChunks within the allocation. Every loop not
+    // pinned at k = 1 gets a controller: a Static(k >= 2) one keeps its
+    // k but may still stop speculating (the sequential rung). Static(1)
+    // has none and stays the paper protocol.
+    if (RT.numThreads() > 1 &&
+        (Opts.adaptiveChunking() || Opts.maxChunksPerThread() > 1)) {
       ChunkControllerConfig CC;
-      CC.MinK = Opts.Chunking.MinK;
-      CC.MaxK = Opts.Chunking.MaxK;
+      CC.MinK = Opts.minChunksPerThread();
+      CC.MaxK = Opts.maxChunksPerThread();
       CC.EpochInvocations = Opts.Chunking.EpochInvocations;
+      CC.SequentialRung = !Opts.AlwaysSpeculate;
       Controller = std::make_unique<ChunkController>(CC);
       setEffectiveK(Controller->currentK());
     }
@@ -251,13 +260,15 @@ public:
 
   /// Tuning introspection: the effective chunk granularity the next
   /// invocation will plan for, this loop's observed mean lane share, and
-  /// -- for ChunkPolicy::Adaptive loops -- the controller state behind
-  /// it (see core/ChunkController.h and docs/tuning.md). Static loops
-  /// report their pinned k with a default controller snapshot. Same
-  /// consistency rule as lastStats(): read between invocations.
+  /// the controller state behind it -- the k climb of a
+  /// ChunkPolicy::Adaptive loop and the sequential rung of every loop
+  /// not pinned at k = 1 (see core/ChunkController.h and
+  /// docs/tuning.md). Static(1) loops report their pinned k with a
+  /// default controller snapshot. Same consistency rule as lastStats():
+  /// read between invocations.
   LoopTuning tuning() const {
     LoopTuning Tune;
-    Tune.Adaptive = Controller != nullptr;
+    Tune.Adaptive = Opts.adaptiveChunking();
     Tune.ChunksPerThread = effectiveK();
     Tune.PlannedChunks = PlanChunks;
     if (Opts.adaptiveChunking()) {
@@ -413,11 +424,19 @@ private:
     R.WrittenRows.push_back(Row);
   }
 
+  /// True while the chunk controller holds the loop on its sequential
+  /// rung: the next invocation runs sequentially.
+  bool rungHolds() const { return Controller && Controller->holding(); }
+
   /// Sequential invocation: no predictions available (first invocation, or
-  /// every row invalidated). Memoizes via the plan when one exists,
-  /// otherwise through the bootstrap sampler.
+  /// every row invalidated), or the sequential rung holds the loop.
+  /// Memoizes via the plan when one exists, otherwise through the
+  /// bootstrap sampler -- so the invocation after a hold starts from
+  /// fresh predictions.
   State invokeSequential(LiveIn LI) {
     ++Stats.SequentialInvocations;
+    if (rungHolds())
+      ++Stats.RungHeldInvocations;
     State S = T.initialState();
     SpecSpace Direct;
     uint64_t Work = 0;
@@ -445,6 +464,12 @@ private:
     if (!UsePlan)
       seedFromSampler();
     planNext({Work});
+    if (Controller) {
+      // Counts down a hold; otherwise no signal.
+      InvocationSample Sample;
+      Sample.Sequential = true;
+      Controller->onInvocation(Sample);
+    }
     LastStats = Stats;
     return S;
   }
@@ -511,11 +536,12 @@ private:
     Stats.Invocations += N;
     RT.noteSubmitted();
     auto Inv = std::make_unique<AsyncInvocation>(*this, std::move(Starts));
-    unsigned ActiveChunks = countLaunchableSpecChunks();
+    unsigned ActiveChunks = rungHolds() ? 0 : countLaunchableSpecChunks();
     if (ActiveChunks == 0) {
-      // No usable predictions: every element runs the sequential
-      // protocol, executed by whoever drives the future. The scheduler
-      // is not involved -- no lanes are needed.
+      // No usable predictions, or the sequential rung holds the loop:
+      // every element runs the sequential protocol, executed by whoever
+      // drives the future. The scheduler is not involved -- no lanes
+      // are needed.
       Inv->Phase.store(AsyncInvocation::InvPhase::SeqPending,
                        std::memory_order_release);
     } else {
@@ -677,7 +703,11 @@ private:
       Last = std::min(Last, Starts.size() - 1);
       if (!Began) {
         Began = true;
-        if (Phase.load(std::memory_order_relaxed) == InvPhase::Queued)
+        // Acquire: a deferred grant may have completed on another thread
+        // since the check above, and its release store of Phase is what
+        // publishes Session and QueuedMicros when awaitGrant's mutex is
+        // skipped.
+        if (Phase.load(std::memory_order_acquire) == InvPhase::Queued)
           awaitGrant();
         if (Phase.load(std::memory_order_relaxed) == InvPhase::Dropped) {
           // Admission control shed the request. It was one scheduler
@@ -715,13 +745,13 @@ private:
     /// granted request resolves the chunks launched at grant time;
     /// every later element re-launches the held session against the
     /// predictions its predecessor refreshed (or runs sequentially when
-    /// none are valid -- lanes idle for that element, but order is
-    /// preserved).
+    /// none are valid or the sequential rung holds -- lanes idle for
+    /// that element, but order is preserved).
     State runElement(size_t I) {
       if (I == 0 && Session)
         return L.resolveGranted(*Session, Starts[0], ActiveChunks,
                                 QueuedMicros);
-      if (!Session)
+      if (!Session || L.rungHolds())
         return L.invokeSequential(Starts[I]);
       unsigned Active = L.countLaunchableSpecChunks();
       if (Active == 0)
@@ -1078,6 +1108,7 @@ private:
           Stats.WastedIterations - Before.WastedIterations;
       Sample.StolenChunks = Stats.StolenChunks - Before.StolenChunks;
       Sample.QueuedMicros = QueuedMicros;
+      Sample.Misspeculated = AnySquash;
       if (Stats.ImbalanceSamples > Before.ImbalanceSamples)
         Sample.LoadImbalance = Stats.ImbalanceSum - Before.ImbalanceSum;
       if (Stats.ChunkImbalanceSamples > Before.ChunkImbalanceSamples)
@@ -1250,11 +1281,17 @@ private:
   SpiceStats Stats;
   /// Snapshot of Stats at the last completed invocation (lastStats()).
   SpiceStats LastStats;
-  /// Adaptive chunk-granularity controller; null for static policies.
-  /// Driven only between invocations by the thread driving the loop.
+  /// Chunk controller (the adaptive k climb and the sequential rung);
+  /// null for Static(1) and on single-threaded runtimes. Driven only
+  /// between invocations by the thread driving the loop; submit() reads
+  /// holding() after InvokeInFlight orders it behind the last
+  /// resolution.
   std::unique_ptr<ChunkController> Controller;
   /// Guards against overlapping invoke() on one handle (see invoke()).
-  std::atomic<bool> InvokeInFlight{false};
+  /// Written twice per invocation, so it gets its own cache line, which
+  /// also starts the next object on a fresh line: loops of different
+  /// clients often sit side by side, and must not false-share.
+  alignas(64) std::atomic<bool> InvokeInFlight{false};
 };
 
 } // namespace core

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "StatsIdentities.h"
 #include "core/SpiceRuntime.h"
 #include "workloads/Graph.h"
 
@@ -126,12 +127,13 @@ TEST(SsspWorkload, FrontierStartsAtSourceAndAdvances) {
 }
 
 /// Runs speculative SSSP on \p Work and checks the distance array is
-/// bit-identical to the oracle.
+/// bit-identical to the oracle, and the stats identities after the run.
 static void expectMatchesOracle(SsspWorkload &Work, SsspWorkload::Loop &L,
                                 int64_t Source) {
   Work.reset(Source);
   size_t Waves = Work.run(L);
   EXPECT_GT(Waves, 1u) << "test graph too small to exercise waves";
+  test::checkStatsInvariants(L.lastStats());
   std::vector<int64_t> Want =
       SsspWorkload::ssspReference(Work.graph(), Source);
   EXPECT_EQ(Work.distances(), Want)

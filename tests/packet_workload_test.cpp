@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "StatsIdentities.h"
 #include "core/SpiceRuntime.h"
 #include "workloads/Packets.h"
 
@@ -119,12 +120,13 @@ struct TwinRig {
         Ref(Flows, Buckets, MaxTrace, Seed) {}
 
   /// One invocation on both instances; returns true when states and
-  /// tables match bit-for-bit.
+  /// tables match bit-for-bit. Checks the stats identities too.
   bool invocationMatches(PacketPipeline::Loop &L, size_t Packets,
                          double BurstProb, unsigned BurstLen) {
     Live.generateTrace(Packets, BurstProb, BurstLen);
     Ref.generateTrace(Packets, BurstProb, BurstLen);
     PacketState Got = L.invoke(Live.traceBegin());
+    test::checkStatsInvariants(L.lastStats());
     PacketState Want = Ref.processTraceReference();
     return Got == Want && Live.table().countersEqual(Ref.table()) &&
            Live.table().checksum() == Ref.table().checksum();

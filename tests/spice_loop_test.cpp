@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "StatsIdentities.h"
 #include "core/SpiceLoop.h"
 #include "core/SpiceRuntime.h"
 #include "workloads/Ks.h"
@@ -475,6 +476,7 @@ TEST(OversubscribedMcf, StalePotentialsRecoverThroughStealableChunks) {
     int64_t Want = TreeRef.refreshPotentialReference();
     McfTraits::State Got = Loop.invoke(TreeSpice.traversalStart());
     ASSERT_EQ(Got.Checksum, Want) << "invocation " << I;
+    test::checkStatsInvariants(Loop.lastStats());
     TreeNode *A = TreeSpice.traversalStart();
     TreeNode *B = TreeRef.traversalStart();
     while (A && B) {
