@@ -224,8 +224,8 @@ double nanosSince(std::chrono::steady_clock::time_point T0) {
 /// Hand-timed median of the CodeCache paths on the otter IR loop: cold
 /// is the full getOrCompile pipeline (frontend -> passes -> backend)
 /// into a fresh cache, warm is a repeat getOrCompile hitting the same
-/// (function, region, options-hash) key -- the price every re-submitted
-/// serving invocation actually pays.
+/// (function, loop header) key -- the price every re-submitted serving
+/// invocation actually pays.
 double medianJitCompileNanos(int Reps, bool Warm) {
   using Clock = std::chrono::steady_clock;
   ir::Module M;
@@ -233,16 +233,15 @@ double medianJitCompileNanos(int Reps, bool Warm) {
   ir::Function *F = W.build(M);
   auto CL = transform::matchCanonicalLoop(*F);
   assert(CL && "otter loop must match the canonical shape");
-  core::LoopOptions Opts;
   jit::CodeCache WarmCache;
   if (Warm)
-    (void)WarmCache.getOrCompile(*CL, Opts);
+    (void)WarmCache.getOrCompile(*CL);
   std::vector<double> Nanos(static_cast<size_t>(Reps));
   for (int I = 0; I != Reps; ++I) {
     jit::CodeCache ColdCache;
     jit::CodeCache &Cache = Warm ? WarmCache : ColdCache;
     Clock::time_point T0 = Clock::now();
-    auto Unit = Cache.getOrCompile(*CL, Opts);
+    auto Unit = Cache.getOrCompile(*CL);
     Nanos[static_cast<size_t>(I)] = nanosSince(T0);
     benchmark::DoNotOptimize(Unit);
   }

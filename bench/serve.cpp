@@ -10,12 +10,10 @@
 //  1. Sustained mixed load. Even clients serve packet-pipeline requests
 //     (one freshly generated trace per request), odd clients serve SSSP
 //     requests (one full delta-stepping run per request), all through
-//     one shared runtime -- measured once under LanePolicy::FairShare
-//     and once under LanePolicy::Adaptive (lanes follow observed
-//     marginal throughput). Warmup rounds are oracle-checked against
-//     the sequential twins; the measured phase merges every client's
-//     per-request latency into serve_throughput_rps and
-//     serve_p50/p99/p999_us (serve_adaptive_* for the Adaptive pass).
+//     one shared runtime under LanePolicy::FairShare. Warmup rounds are
+//     oracle-checked against the sequential twins; the measured phase
+//     merges every client's per-request latency into
+//     serve_throughput_rps and serve_p50/p99/p999_us.
 //
 //  2. Batch amortization under contention. A sjeng evaluation client
 //     (read-only board: perfectly repeatable invocations) measures 16
@@ -114,11 +112,11 @@ struct ServeResult {
 
 /// Part 1: the sustained mixed-load phase. Every client runs warmup
 /// rounds (oracle-checked), parks at a barrier, then serves its measured
-/// requests; the wall clock spans only the measured phase. Run once per
-/// lane policy: FairShare (no tenant monopolizes the lanes) and Adaptive
-/// (lanes follow observed marginal throughput; see docs/tuning.md).
+/// requests; the wall clock spans only the measured phase. Run under
+/// FairShare (no tenant monopolizes the lanes), on the machine's
+/// topology and on a fake 2-node one.
 ServeResult runSustainedLoad(const benchutil::BenchConfig &Bench,
-                             LanePolicy Policy, bool FakeTopology = false) {
+                             bool FakeTopology = false) {
   const unsigned Clients = Bench.pick(6u, 4u);
   const size_t TraceBase = Bench.pick<size_t>(16000, 3000);
   const int PacketWarmup = Bench.pick(4, 2);
@@ -128,7 +126,7 @@ ServeResult runSustainedLoad(const benchutil::BenchConfig &Bench,
   const int SsspRequests = Bench.pick(30, 6);
 
   RuntimeConfig RC = Bench.runtimeConfig();
-  RC.Policy = Policy;
+  RC.Policy = LanePolicy::FairShare;
   if (FakeTopology) {
     // Deterministic 2-node override sized to the worker count: the
     // serving path with node-packed leases, node-local buffer shards,
@@ -348,13 +346,11 @@ int main() {
   std::printf("spice serving bench (budget=%s, threads=%u)\n\n",
               Bench.budgetName(), Bench.threads());
 
-  // Part 1: sustained mixed load, once per lane policy, plus a
-  // FairShare rerun on a fake 2-node topology (docs/topology.md).
-  ServeResult Serve = runSustainedLoad(Bench, LanePolicy::FairShare);
-  ServeResult Adaptive = runSustainedLoad(Bench, LanePolicy::Adaptive);
-  ServeResult Topo =
-      runSustainedLoad(Bench, LanePolicy::FairShare, /*FakeTopology=*/true);
-  if (!Serve.OracleOk || !Adaptive.OracleOk || !Topo.OracleOk) {
+  // Part 1: sustained mixed load, plus a rerun on a fake 2-node
+  // topology (docs/topology.md).
+  ServeResult Serve = runSustainedLoad(Bench);
+  ServeResult Topo = runSustainedLoad(Bench, /*FakeTopology=*/true);
+  if (!Serve.OracleOk || !Topo.OracleOk) {
     std::printf("FAILED: serving results diverged from the oracles\n");
     return 1;
   }
@@ -367,12 +363,6 @@ int main() {
               (unsigned long)Serve.Requests, Serve.ElapsedSeconds, Rps);
   std::printf("latency:         p50 %.0fus  p99 %.0fus  p99.9 %.0fus\n",
               P50, P99, P999);
-  double AdRps = Adaptive.Requests / Adaptive.ElapsedSeconds;
-  double AdP99 = percentileUs(Adaptive.LatenciesUs, 990);
-  std::printf("adaptive lanes:  %lu requests in %.2fs -> %.0f req/s, "
-              "p99 %.0fus (%.2fx FairShare)\n",
-              (unsigned long)Adaptive.Requests, Adaptive.ElapsedSeconds,
-              AdRps, AdP99, Rps ? AdRps / Rps : 0.0);
   double TopoRps = Topo.Requests / Topo.ElapsedSeconds;
   std::printf("2-node topology: %lu requests in %.2fs -> %.0f req/s, "
               "steal locality %.3f (%lu local / %lu remote)\n\n",
@@ -418,8 +408,6 @@ int main() {
   Json.scalar("serve_p50_us", P50);
   Json.scalar("serve_p99_us", P99);
   Json.scalar("serve_p999_us", P999);
-  Json.scalar("serve_adaptive_throughput_rps", AdRps);
-  Json.scalar("serve_adaptive_p99_us", AdP99);
   Json.scalar("serve_topo_throughput_rps", TopoRps);
   Json.scalar("serve_steal_local_fraction", Topo.stealLocalFraction());
   Json.scalar("serve_topo_local_steals", Topo.LocalSteals);

@@ -10,7 +10,14 @@
 #  4. every JIT header (src/jit/*.h) is mentioned somewhere under
 #     docs/, for the same reason (docs/jit.md is the map);
 #  5. every topology header (src/topology/*.h) is mentioned somewhere
-#     under docs/ (docs/topology.md is the operator guide).
+#     under docs/ (docs/topology.md is the operator guide);
+#  6. every option or counter the docs cite as Scope::Name -- for the
+#     option structs (RuntimeConfig, LoopOptions, ChunkPolicy,
+#     JitTierOptions), the policy enums (LanePolicy, OverloadPolicy) and
+#     the counter structs (SpiceStats, SchedulerStats) -- is a member of
+#     that struct or enum in its header, so a deleted or renamed knob
+#     cannot live on in the docs. Scope-aware: ChunkPolicy::Adaptive
+#     resolving says nothing about LanePolicy::Adaptive.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -73,8 +80,75 @@ for hdr in src/topology/*.h; do
   fi
 done
 
+# --- 6. every cited Scope::Name is a member of that scope ------------------
+python3 - docs/*.md README.md bench/README.md <<'PY' || fail=1
+import glob, re, sys
+
+SCOPES = ("RuntimeConfig", "LoopOptions", "ChunkPolicy", "JitTierOptions",
+          "LanePolicy", "OverloadPolicy", "SpiceStats", "SchedulerStats")
+SOURCES = {path: re.sub(r"//[^\n]*", "", open(path).read())
+           for path in glob.glob("src/**/*.h", recursive=True)}
+
+def body(scope):
+    """Text between the braces of the struct/enum definition of scope."""
+    head = re.compile(r"\b(?:struct|enum class)\s+%s\b[^;{]*\{" % scope)
+    hits = [(p, m) for p, t in SOURCES.items() for m in head.finditer(t)]
+    if len(hits) != 1:
+        sys.exit("check 6: %d definitions of %s under src/" % (len(hits), scope))
+    text, depth = SOURCES[hits[0][0]], 1
+    start = i = hits[0][1].end()
+    while depth:
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        i += 1
+    return text[start:i - 1]
+
+def members(scope):
+    """Names declared directly in the scope: fields, methods, nested
+    types and enumerators -- not parameters, initializers or bodies."""
+    text = body(scope)
+    while True:  # Nested braces (method bodies, nested enums) end a decl.
+        text, n = re.subn(r"\{[^{}]*\}", ";", text)
+        if not n:
+            break
+    names = set()
+    for stmt in text.split(";"):
+        while True:  # Parameter lists become a call marker.
+            stmt, n = re.subn(r"\([^()]*\)", "@", stmt)
+            if not n:
+                break
+        while True:  # Template arguments go.
+            stmt, n = re.subn(r"<[^<>]*>", "", stmt)
+            if not n:
+                break
+        for decl in stmt.split(","):  # Enumerator lists.
+            decl = decl.split("=")[0]
+            nested = re.search(r"\b(?:enum class|enum|struct|class)\s+(\w+)",
+                               decl)
+            called = re.search(r"(\w+)\s*@", decl)
+            words = re.findall(r"[A-Za-z_]\w*", decl)
+            if nested:
+                names.add(nested.group(1))
+            elif called:
+                names.add(called.group(1))
+            elif words:
+                names.add(words[-1])
+    return names
+
+known = {scope: members(scope) for scope in SCOPES}
+cite = re.compile(r"\b(%s)::(\w+)" % "|".join(SCOPES))
+bad = 0
+for doc in sys.argv[1:]:
+    for line_no, line in enumerate(open(doc), 1):
+        for scope, name in cite.findall(line):
+            if name not in known[scope]:
+                print("%s:%d: %s::%s is not a member of %s"
+                      % (doc, line_no, scope, name, scope))
+                bad = 1
+sys.exit(bad)
+PY
+
 if [ "$fail" -ne 0 ]; then
   echo "docs link check FAILED"
   exit 1
 fi
-echo "docs links resolve; all workload, core, jit and topology headers documented"
+echo "docs links resolve; all workload, core, jit and topology headers documented; every cited option and counter exists"

@@ -89,8 +89,10 @@ struct ChunkControllerConfig {
   /// Inclusive chunks-per-thread range the controller moves within.
   unsigned MinK = 1;
   unsigned MaxK = 8;
-  /// Parallel invocations scored per decision. Sequential invocations
-  /// carry no chunk-granularity signal and do not count.
+  /// Parallel invocations scored per decision -- also the length of a
+  /// sequential-rung probe. Sequential invocations carry no
+  /// chunk-granularity signal and do not count. SpiceLoop always runs
+  /// the default; tests drive other lengths.
   unsigned EpochInvocations = 6;
   /// Epochs discarded (not scored) after every k move. Changing the
   /// granularity recuts the memoization plan, and the first invocations
@@ -113,15 +115,9 @@ struct InvocationSample {
   uint64_t RecoveryIterations = 0;
   /// Discarded iterations of squashed chunks (WastedIterations delta).
   uint64_t WastedIterations = 0;
-  /// Chunks executed off their home lane (StolenChunks delta).
-  uint64_t StolenChunks = 0;
-  /// Admission-queue wait of this invocation (QueuedMicros delta).
-  uint64_t QueuedMicros = 0;
   /// Execution-context makespan / ideal for this invocation, or <= 0
   /// when unavailable (squashed invocations are not sampled).
   double LoadImbalance = 0.0;
-  /// Planner-granularity max-chunk / ideal-chunk, or <= 0 (same rule).
-  double ChunkImbalance = 0.0;
   /// At least one speculative chunk was squashed
   /// (MisspeculatedInvocations delta).
   bool Misspeculated = false;

@@ -25,30 +25,12 @@ Scheduler::~Scheduler() {
 }
 
 bool Scheduler::overCapLocked(const Request &R) const {
-  if (RuntimeCap && QueuedInvs + R.Invocations > RuntimeCap)
-    return true;
-  if (R.LoopCap && R.LoopTag) {
-    auto It = LoopQueued.find(R.LoopTag);
-    uint64_t Cur = It == LoopQueued.end() ? 0 : It->second;
-    if (Cur + R.Invocations > R.LoopCap)
-      return true;
-  }
-  return false;
+  return RuntimeCap && QueuedInvs + R.Invocations > RuntimeCap;
 }
 
 void Scheduler::noteRemovedLocked(const Entry &E) {
   assert(QueuedInvs >= E.R.Invocations && "queue accounting out of sync");
   QueuedInvs -= std::min<uint64_t>(QueuedInvs, E.R.Invocations);
-  if (E.R.LoopTag) {
-    auto It = LoopQueued.find(E.R.LoopTag);
-    assert(It != LoopQueued.end() && It->second >= E.R.Invocations &&
-           "per-loop queue accounting out of sync");
-    if (It != LoopQueued.end()) {
-      It->second -= std::min<uint64_t>(It->second, E.R.Invocations);
-      if (It->second == 0)
-        LoopQueued.erase(It);
-    }
-  }
 }
 
 void Scheduler::sweepExpiredLocked(
@@ -115,8 +97,6 @@ uint64_t Scheduler::submit(Request R) {
     }
     Ticket = NextTicket++;
     QueuedInvs += R.Invocations;
-    if (R.LoopTag)
-      LoopQueued[R.LoopTag] += R.Invocations;
     St.HighWaterQueueDepth =
         std::max<uint64_t>(St.HighWaterQueueDepth, QueuedInvs);
     ++St.Submitted;
@@ -147,33 +127,6 @@ bool Scheduler::isQueued(uint64_t Ticket) const {
 }
 
 void Scheduler::onLanesFreed() { runGrants(); }
-
-void Scheduler::noteThroughput(const void *LoopTag, uint64_t Iterations,
-                               unsigned Lanes, uint64_t Micros) {
-  if (!LoopTag || Lanes == 0 || Micros == 0)
-    return;
-  const double Sample = static_cast<double>(Iterations) /
-                        (static_cast<double>(Lanes) *
-                         static_cast<double>(Micros));
-  std::lock_guard<std::mutex> Lock(M);
-  ++St.ThroughputSamples;
-  auto It = LaneRates.find(LoopTag);
-  if (It == LaneRates.end()) {
-    LaneRates.emplace(LoopTag, Sample);
-    return;
-  }
-  // EWMA with a fixed smoothing factor: heavy enough to track phase
-  // changes within a few invocations, light enough to ride out one
-  // noisy sample.
-  constexpr double Alpha = 0.3;
-  It->second = Alpha * Sample + (1.0 - Alpha) * It->second;
-}
-
-double Scheduler::laneRate(const void *LoopTag) const {
-  std::lock_guard<std::mutex> Lock(M);
-  auto It = LaneRates.find(LoopTag);
-  return It == LaneRates.end() ? -1.0 : It->second;
-}
 
 SchedulerStats Scheduler::stats() const {
   std::lock_guard<std::mutex> Lock(M);
@@ -212,51 +165,6 @@ Scheduler::planGrants(const std::vector<Candidate> &Pending,
     }
   };
 
-  // FairShare and Adaptive share the proportional core: cap_i ~
-  // FreeLanes * w_i / sum(w), clamped to [1, req_i]. Overshoot (the
-  // floors of many small requests) is trimmed from the back of the
-  // admission queue -- latest submissions stay queued when there are
-  // more requests than lanes; undershoot (rounding) is handed back one
-  // lane at a time in admission order.
-  auto ProportionalSplit = [&](const std::vector<double> &Weights) {
-    double SumW = 0.0;
-    for (double W : Weights)
-      SumW += W;
-    std::vector<unsigned> Caps(Pending.size());
-    uint64_t Total = 0;
-    for (size_t I = 0; I != Pending.size(); ++I) {
-      uint64_t Share =
-          SumW > 0.0 ? static_cast<uint64_t>(
-                           static_cast<double>(FreeLanes) * Weights[I] / SumW)
-                     : 0;
-      Caps[I] = static_cast<unsigned>(std::clamp<uint64_t>(
-          Share, 1, Pending[I].RequestedLanes));
-      Total += Caps[I];
-    }
-    for (size_t I = Pending.size(); Total > FreeLanes && I-- > 0;) {
-      uint64_t Excess = Total - FreeLanes;
-      unsigned Keep = Caps[I] > Excess
-                          ? Caps[I] - static_cast<unsigned>(Excess)
-                          : 0;
-      Total -= Caps[I] - Keep;
-      Caps[I] = Keep;
-    }
-    bool Progress = true;
-    while (Total < FreeLanes && Progress) {
-      Progress = false;
-      for (size_t I = 0; I != Pending.size() && Total < FreeLanes; ++I) {
-        if (Caps[I] != 0 && Caps[I] < Pending[I].RequestedLanes) {
-          ++Caps[I];
-          ++Total;
-          Progress = true;
-        }
-      }
-    }
-    for (size_t I = 0; I != Pending.size(); ++I)
-      if (Caps[I] != 0)
-        Plan.push_back(Grant{I, Caps[I]});
-  };
-
   switch (Policy) {
   case LanePolicy::FirstCome: {
     std::vector<size_t> Order(Pending.size());
@@ -284,41 +192,45 @@ Scheduler::planGrants(const std::vector<Candidate> &Pending,
     break;
   }
   case LanePolicy::FairShare: {
-    // Proportional split with a floor of one lane: cap_i ~ FreeLanes *
-    // req_i / sum(req), clamped to [1, req_i].
-    std::vector<double> Weights(Pending.size());
-    for (size_t I = 0; I != Pending.size(); ++I)
-      Weights[I] = Pending[I].RequestedLanes;
-    ProportionalSplit(Weights);
-    break;
-  }
-  case LanePolicy::Adaptive: {
-    // Same proportional machinery, but weighted by each loop's observed
-    // marginal throughput (Candidate::LaneRate, the noteThroughput
-    // EWMA): lanes concentrate where they commit the most iterations per
-    // lane-microsecond. A loop with no sample yet takes the mean of the
-    // known rates -- neutral until it proves itself either way -- and
-    // when nobody has a sample the split degrades to FairShare's
-    // request-proportional one.
-    double KnownSum = 0.0;
-    size_t Known = 0;
+    // Proportional split: cap_i ~ FreeLanes * req_i / sum(req), clamped
+    // to [1, req_i]. Overshoot (the floors of many small requests) is
+    // trimmed from the back of the admission queue -- latest submissions
+    // stay queued when there are more requests than lanes; undershoot
+    // (rounding) is handed back one lane at a time in admission order.
+    uint64_t SumReq = 0;
     for (const Candidate &C : Pending)
-      if (C.LaneRate > 0.0) {
-        KnownSum += C.LaneRate;
-        ++Known;
-      }
-    if (Known == 0) {
-      std::vector<double> Weights(Pending.size());
-      for (size_t I = 0; I != Pending.size(); ++I)
-        Weights[I] = Pending[I].RequestedLanes;
-      ProportionalSplit(Weights);
-      break;
+      SumReq += C.RequestedLanes;
+    std::vector<unsigned> Caps(Pending.size());
+    uint64_t Total = 0;
+    for (size_t I = 0; I != Pending.size(); ++I) {
+      uint64_t Share =
+          SumReq ? uint64_t{FreeLanes} * Pending[I].RequestedLanes / SumReq : 0;
+      Caps[I] = static_cast<unsigned>(std::clamp<uint64_t>(
+          Share, 1, Pending[I].RequestedLanes));
+      Total += Caps[I];
     }
-    const double Mean = KnownSum / static_cast<double>(Known);
-    std::vector<double> Weights(Pending.size());
+    for (size_t I = Pending.size(); Total > FreeLanes && I-- > 0;) {
+      uint64_t Excess = Total - FreeLanes;
+      unsigned Keep = Caps[I] > Excess
+                          ? Caps[I] - static_cast<unsigned>(Excess)
+                          : 0;
+      Total -= Caps[I] - Keep;
+      Caps[I] = Keep;
+    }
+    bool Progress = true;
+    while (Total < FreeLanes && Progress) {
+      Progress = false;
+      for (size_t I = 0; I != Pending.size() && Total < FreeLanes; ++I) {
+        if (Caps[I] != 0 && Caps[I] < Pending[I].RequestedLanes) {
+          ++Caps[I];
+          ++Total;
+          Progress = true;
+        }
+      }
+    }
     for (size_t I = 0; I != Pending.size(); ++I)
-      Weights[I] = Pending[I].LaneRate > 0.0 ? Pending[I].LaneRate : Mean;
-    ProportionalSplit(Weights);
+      if (Caps[I] != 0)
+        Plan.push_back(Grant{I, Caps[I]});
     break;
   }
   }
@@ -427,8 +339,6 @@ void Scheduler::runGrants() {
           ++St.ImmediateGrants;
         else
           ++St.DeferredGrants;
-        if (Policy == LanePolicy::Adaptive)
-          ++St.AdaptiveGrants;
         if (S->lanes() < E.R.RequestedLanes)
           ++St.CappedGrants;
         uint64_t Waited =
@@ -469,17 +379,11 @@ void Scheduler::runGrants() {
                         std::chrono::duration_cast<std::chrono::microseconds>(
                             Now - E.Enqueued)
                             .count());
-          double Rate = -1.0;
-          if (Policy == LanePolicy::Adaptive && E.R.LoopTag) {
-            auto It = LaneRates.find(E.R.LoopTag);
-            if (It != LaneRates.end())
-              Rate = It->second;
-          }
           Pending.push_back(
-              Candidate{E.R.RequestedLanes, E.R.Priority, Waited, Rate});
+              Candidate{E.R.RequestedLanes, E.R.Priority, Waited});
         }
         std::vector<Grant> Plan =
-            planGrants(Pending, Free, Policy, AgingStepMicros, NodeFree);
+            planGrants(Pending, Free, Policy, kAgingStepMicros, NodeFree);
         std::vector<size_t> Granted;
         for (const Grant &G : Plan) {
           Entry &E = Queue[G.Index];
@@ -491,8 +395,6 @@ void Scheduler::runGrants() {
             ++St.ImmediateGrants;
           else
             ++St.DeferredGrants;
-          if (Policy == LanePolicy::Adaptive)
-            ++St.AdaptiveGrants;
           if (S->lanes() < E.R.RequestedLanes)
             ++St.CappedGrants;
           uint64_t Waited = Pending[G.Index].QueuedMicros;
@@ -508,7 +410,7 @@ void Scheduler::runGrants() {
       }
     }
   }
-  // Every removal makes room below the caps: wake parked Block
+  // Every removal makes room below the cap: wake parked Block
   // submitters before running the callbacks.
   if (Solo || !Actions.empty() || !Drops.empty())
     CapCV.notify_all();

@@ -7,8 +7,8 @@
 /// \file
 /// The Scheduler is a SpiceRuntime's admission queue: every parallel
 /// invocation submitted through SpiceLoop::submit() becomes a lane
-/// Request here, and the scheduler -- not the WorkerPool's first-come
-/// blocking path -- decides which queued invocation the free lanes go
+/// Request here, and the scheduler decides which queued invocation the
+/// free lanes go to -- the WorkerPool only leases the lanes it is told
 /// to. Grants happen at two points, both without a dedicated scheduler
 /// thread:
 ///
@@ -32,20 +32,15 @@
 ///                  invocation cannot monopolize the pool.
 ///  * Priority   -- strict LoopOptions::Priority order, with queue time
 ///                  aging the effective priority (one step per
-///                  RuntimeConfig::AgingStepMicros) so low-priority work
-///                  cannot starve.
-///  * Adaptive   -- free lanes split proportionally to each loop's
-///                  observed marginal throughput (the noteThroughput
-///                  EWMA of iterations committed per lane-microsecond),
-///                  floor of one lane, so lanes concentrate where they
-///                  commit the most work (docs/tuning.md).
+///                  kAgingStepMicros) so low-priority work cannot
+///                  starve.
 ///
 /// The queue is bounded when the runtime asks for it: submissions carry
 /// an invocation weight (a batch counts its size), and when admitting
-/// one would push the runtime-wide (RuntimeConfig::MaxQueuedInvocations)
-/// or per-loop (LoopOptions::MaxQueuedSubmissions) depth past its cap,
-/// the RuntimeConfig::OverloadPolicy decides: Block parks the submitter
-/// until the queue drains, Reject sheds the submission (ticket 0,
+/// one would push the queue depth past the cap
+/// (RuntimeConfig::MaxQueuedInvocations), the RuntimeConfig::
+/// OverloadPolicy decides: Block parks the submitter until the queue
+/// drains, Reject sheds the submission (ticket 0,
 /// SchedulerStats::RejectedSubmissions), and DeadlineDrop additionally
 /// expires queued requests that out-waited their
 /// LoopOptions::SubmitDeadlineMicros at every grant pass
@@ -74,7 +69,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -99,7 +93,7 @@ struct SchedulerStats {
   uint64_t TotalQueuedMicros = 0;
   /// High-water mark of the admission queue depth, in queued
   /// *invocations* (a batch counts its size) -- the figure the queue
-  /// caps bound. With caps set this can never exceed the cap plus one
+  /// cap bounds. With a cap set this can never exceed the cap plus one
   /// in-admission request.
   uint64_t HighWaterQueueDepth = 0;
   /// Submissions shed at admission because a queue cap was hit under
@@ -111,18 +105,16 @@ struct SchedulerStats {
   /// DeadlineDrop. These *are* counted in Submitted (they entered the
   /// queue) but never in ImmediateGrants/DeferredGrants.
   uint64_t DroppedDeadline = 0;
-  /// Throughput feedback samples consumed (Scheduler::noteThroughput);
-  /// resolved parallel invocations report one each. Fed regardless of
-  /// policy so switching to LanePolicy::Adaptive starts warm.
-  uint64_t ThroughputSamples = 0;
-  /// Grants planned by LanePolicy::Adaptive's throughput-weighted split.
-  uint64_t AdaptiveGrants = 0;
 };
 
 /// Cross-loop lane scheduler; owned by SpiceRuntime (one per pool).
 class Scheduler {
 public:
   using Clock = std::chrono::steady_clock;
+
+  /// Queue time per effective-priority step under LanePolicy::Priority
+  /// (starvation aging).
+  static constexpr uint64_t kAgingStepMicros = 1000;
 
   /// One queued invocation's lane request.
   struct Request {
@@ -136,17 +128,12 @@ public:
     /// leases are accounted to it for self-deadlock diagnostics.
     std::thread::id Owner;
     /// Invocations this request admits at once (a batch's size); the
-    /// queue caps and HighWaterQueueDepth count in this unit.
+    /// queue cap and HighWaterQueueDepth count in this unit.
     unsigned Invocations = 1;
     /// Admission deadline in microseconds (0 = none); see
     /// LoopOptions::SubmitDeadlineMicros. Only OverloadPolicy::
     /// DeadlineDrop acts on it.
     uint64_t DeadlineMicros = 0;
-    /// Identity of the submitting loop, keying the per-loop queue cap
-    /// accounting (null = exempt from per-loop caps).
-    const void *LoopTag = nullptr;
-    /// The submitting loop's MaxQueuedSubmissions (0 = unbounded).
-    uint64_t LoopCap = 0;
     /// Runs exactly once, outside every scheduler/pool mutex, on the
     /// granting thread (submitter or releaser): receives the leased
     /// session and the microseconds the request spent queued.
@@ -156,13 +143,11 @@ public:
     std::function<void()> OnDrop;
   };
 
-  /// Policy, aging, queue caps, and overload behavior all come from the
+  /// Policy, queue cap, and overload behavior all come from the
   /// runtime's \p Config (see RuntimeConfig).
   Scheduler(WorkerPool &Pool, const RuntimeConfig &Config)
       : Pool(Pool), Policy(Config.Policy),
-        AgingStepMicros(Config.AgingStepMicros),
-        RuntimeCap(Config.MaxQueuedInvocations), Overload(Config.Overload) {
-  }
+        RuntimeCap(Config.MaxQueuedInvocations), Overload(Config.Overload) {}
 
   /// A scheduler must drain before destruction; SpiceRuntime's
   /// destructor diagnostics enforce it before this runs.
@@ -175,7 +160,7 @@ public:
   /// (free lanes, policy picked it), R.OnGrant has already run -- with
   /// QueuedMicros == 0 -- by the time submit returns. Returns a ticket
   /// identifying the request in the admission queue, or 0 when admission
-  /// control shed it: the request would push a queue past its cap and
+  /// control shed it: the request would push the queue past its cap and
   /// the policy is Reject (or DeadlineDrop with nothing left to drop).
   /// A rejected request's callbacks never run. Under Block, submit
   /// instead parks until the queue has room -- with a fatal self-
@@ -197,35 +182,16 @@ public:
   SchedulerStats stats() const;
   unsigned queueDepth() const;
   /// Queued invocations (requests weighted by Request::Invocations) --
-  /// the figure the queue caps bound.
+  /// the figure the queue cap bounds.
   uint64_t queuedInvocations() const;
   LanePolicy policy() const { return Policy; }
   OverloadPolicy overloadPolicy() const { return Overload; }
-
-  /// Feedback from a resolved parallel invocation of the loop identified
-  /// by \p LoopTag: \p Iterations committed on \p Lanes lanes over
-  /// \p Micros microseconds. Folded into the loop's marginal-throughput
-  /// EWMA (iterations per lane-microsecond), the weight
-  /// LanePolicy::Adaptive grants by. Cheap and always accepted, so loops
-  /// report under every policy and a later switch to Adaptive starts
-  /// with warm weights. Zero-lane / zero-time samples are ignored.
-  void noteThroughput(const void *LoopTag, uint64_t Iterations,
-                      unsigned Lanes, uint64_t Micros);
-
-  /// The loop's current marginal-throughput EWMA, or -1 when it has not
-  /// reported a sample yet (introspection; see SpiceLoop::tuning()).
-  double laneRate(const void *LoopTag) const;
 
   /// A queued request as planGrants sees it.
   struct Candidate {
     unsigned RequestedLanes;
     int Priority;
     uint64_t QueuedMicros;
-    /// Marginal-throughput weight of the submitting loop (iterations per
-    /// lane-microsecond EWMA), or < 0 when the loop has no sample yet --
-    /// LanePolicy::Adaptive weighs sampleless loops at the mean of the
-    /// known rates. Ignored by the other policies.
-    double LaneRate = -1.0;
   };
   /// One planned grant: lane cap for the request at \p Index of the
   /// candidate (admission-ordered) vector. \p Node is the placement
@@ -276,9 +242,8 @@ private:
   /// sweeps expired entries.
   void runGrants();
 
-  /// True when admitting \p R now would push the runtime-wide or the
-  /// request's per-loop queue past its cap. Requires the scheduler
-  /// mutex.
+  /// True when admitting \p R now would push the queue past its cap.
+  /// Requires the scheduler mutex.
   bool overCapLocked(const Request &R) const;
 
   /// Removes every non-Immediate entry that has waited past its
@@ -294,7 +259,6 @@ private:
 
   WorkerPool &Pool;
   const LanePolicy Policy;
-  const uint64_t AgingStepMicros;
   const uint64_t RuntimeCap;
   const OverloadPolicy Overload;
 
@@ -304,17 +268,11 @@ private:
   SchedulerStats St;
   /// Queued invocations (Request::Invocations-weighted queue depth).
   uint64_t QueuedInvs = 0;
-  /// Same, per submitting loop (keyed by Request::LoopTag). Entries are
-  /// erased when they reach zero.
-  std::unordered_map<const void *, uint64_t> LoopQueued;
-  /// Marginal-throughput EWMA per loop (iterations per lane-microsecond,
-  /// keyed by Request::LoopTag); the LanePolicy::Adaptive grant weights.
-  std::unordered_map<const void *, double> LaneRates;
   /// Per-node free-lane snapshot for the node-packing plan (guarded by
   /// M; reused across passes to keep the grant path allocation-free).
   std::vector<unsigned> NodeFreeScratch;
   /// Blocked submitters (OverloadPolicy::Block) park here until a grant
-  /// or drop shrinks the queue below the caps.
+  /// or drop shrinks the queue below the cap.
   std::condition_variable CapCV;
 };
 

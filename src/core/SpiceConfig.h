@@ -10,8 +10,8 @@
 ///  * RuntimeConfig -- process-wide settings of a SpiceRuntime (thread
 ///    count, worker placement hooks). One runtime serves many loops.
 ///  * LoopOptions -- per-loop policy (chunk granularity via ChunkPolicy,
-///    conflict detection, work metric, recovery limits), passed to
-///    SpiceRuntime::makeLoop.
+///    conflict detection, work metric, runaway guard, priority and
+///    deadline), passed to SpiceRuntime::makeLoop.
 ///
 /// Plus the statistics block every experiment reads (mis-speculation
 /// rates, squashes, load balance).
@@ -23,7 +23,6 @@
 
 #include "topology/Placement.h"
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -43,25 +42,15 @@ enum class LanePolicy {
   /// longer monopolize the pool while others starve.
   FairShare,
   /// Strict LoopOptions::Priority order (higher first), with queued time
-  /// aging the effective priority so low-priority work cannot starve
-  /// (RuntimeConfig::AgingStepMicros).
+  /// aging the effective priority -- one step per millisecond queued
+  /// (Scheduler::kAgingStepMicros) -- so low-priority work cannot starve.
   Priority,
-  /// Feedback-driven split: free lanes go to queued invocations in
-  /// proportion to their loop's observed marginal throughput -- an EWMA
-  /// of iterations committed per lane-microsecond, fed back by every
-  /// resolved invocation (Scheduler::noteThroughput). Loops without a
-  /// sample yet are weighted at the mean of the known rates, and every
-  /// planned grant keeps the FairShare floor of one lane, so new or
-  /// currently-slow loops still run (and keep producing samples) while
-  /// lanes concentrate where they commit the most work. See
-  /// docs/tuning.md.
-  Adaptive,
 };
 
-/// What the admission Scheduler does with a submission that would push a
-/// queue past its cap (RuntimeConfig::MaxQueuedInvocations or
-/// LoopOptions::MaxQueuedSubmissions). Serving deployments pick the
-/// shedding policy that matches their clients; see docs/serving.md.
+/// What the admission Scheduler does with a submission that would push
+/// the queue past its cap (RuntimeConfig::MaxQueuedInvocations). Serving
+/// deployments pick the shedding policy that matches their clients; see
+/// docs/serving.md.
 enum class OverloadPolicy {
   /// submit() blocks the calling thread until the queue has room (grants
   /// or drops make room). The no-shedding default: overload turns into
@@ -97,11 +86,6 @@ struct RuntimeConfig {
   /// How freed lanes are handed to queued invocations (see LanePolicy).
   LanePolicy Policy = LanePolicy::FirstCome;
 
-  /// Under LanePolicy::Priority, a queued invocation's effective
-  /// priority grows by one for every AgingStepMicros it has waited
-  /// (starvation aging). 0 disables aging (pure strict priority).
-  uint64_t AgingStepMicros = 1000;
-
   /// Runtime-wide cap on queued (admitted but not yet granted)
   /// invocations across every loop, counted in invocations -- a batch
   /// submission counts its full size while it waits. 0 = unbounded (the
@@ -109,8 +93,7 @@ struct RuntimeConfig {
   uint64_t MaxQueuedInvocations = 0;
 
   /// Overload behavior when a submission would exceed
-  /// MaxQueuedInvocations or the submitting loop's
-  /// LoopOptions::MaxQueuedSubmissions (see OverloadPolicy).
+  /// MaxQueuedInvocations (see OverloadPolicy).
   OverloadPolicy Overload = OverloadPolicy::Block;
 
   /// Hardware-topology placement (docs/topology.md). Off (the default)
@@ -143,14 +126,6 @@ struct ChunkPolicy {
   unsigned MinK = 0;
   unsigned MaxK = 0;
 
-  /// Parallel invocations the controller scores per decision (see
-  /// ChunkControllerConfig::EpochInvocations) -- also the length of a
-  /// sequential-rung probe, for Static(k >= 2) loops too. The default
-  /// suits loops whose per-invocation scores are steady; conflict-heavy
-  /// loops whose invocations swing between clean and squashed runs need
-  /// longer epochs so a probe compares means, not single draws.
-  unsigned EpochInvocations = 6;
-
   /// Pinned k: every invocation runs K chunks per thread.
   static ChunkPolicy Static(unsigned K) {
     ChunkPolicy P;
@@ -159,14 +134,14 @@ struct ChunkPolicy {
     return P;
   }
 
-  /// Online control within [MinK, MaxK] (inclusive).
-  static ChunkPolicy Adaptive(unsigned MinK, unsigned MaxK,
-                              unsigned EpochInvocations = 6) {
+  /// Online control within [MinK, MaxK] (inclusive). The controller
+  /// scores epochs of ChunkControllerConfig::EpochInvocations (6)
+  /// parallel invocations.
+  static ChunkPolicy Adaptive(unsigned MinK, unsigned MaxK) {
     ChunkPolicy P;
     P.Mode = Kind::Adaptive;
     P.MinK = MinK;
     P.MaxK = MaxK;
-    P.EpochInvocations = EpochInvocations;
     return P;
   }
 };
@@ -217,24 +192,9 @@ struct LoopOptions {
   /// iterations (a mis-predicted pointer can enter a stale cycle).
   uint64_t MaxSpecIterations = 1ull << 32;
 
-  /// How often a failed-but-validated chunk is re-enqueued as a stealable
-  /// recovery chunk before the runtime falls back to the paper's serial
-  /// re-execution. Only meaningful with ChunksPerThread > 1.
-  unsigned MaxRecoveryRequeues = 2;
-
-  /// Capacity of the bootstrap sampler used on the first invocation.
-  size_t BootstrapCapacity = 64;
-
   /// Scheduling priority of this loop's submissions under
   /// LanePolicy::Priority (higher wins; ignored by the other policies).
   int Priority = 0;
-
-  /// Per-loop cap on this loop's queued (not yet granted) invocations,
-  /// counted like RuntimeConfig::MaxQueuedInvocations -- a batch counts
-  /// its full size, so set this at least as large as the largest batch
-  /// this loop submits. 0 = unbounded. The runtime's OverloadPolicy
-  /// decides what happens at the cap.
-  uint64_t MaxQueuedSubmissions = 0;
 
   /// Admission deadline of this loop's submissions: under
   /// OverloadPolicy::DeadlineDrop, a submission still ungranted after

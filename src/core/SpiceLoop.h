@@ -42,7 +42,7 @@
 /// ONE scheduler request returning a SpiceBatchFuture -- one admission
 /// trip and one lane lease amortized across the batch, the elements
 /// executing in submission order on the driving thread. Admission
-/// itself is bounded: queue caps plus RuntimeConfig::OverloadPolicy
+/// itself is bounded: a queue cap plus RuntimeConfig::OverloadPolicy
 /// shed overload as OverloadError futures instead of growing the queue
 /// (see core/Scheduler.h and docs/serving.md).
 ///
@@ -112,7 +112,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -148,7 +147,7 @@ public:
   SpiceLoop(Traits &T, SpiceRuntime &Runtime, const LoopOptions &Opts = {})
       : T(T), RT(Runtime), Opts(validated(Opts)),
         NumChunks(Opts.numChunks(RT.numThreads())), PlanChunks(NumChunks),
-        Sampler(std::max(Opts.BootstrapCapacity,
+        Sampler(std::max(kBootstrapCapacity,
                          static_cast<size_t>(2 * NumChunks))),
         SVA(NumChunks > 1 ? NumChunks - 1 : 0), RowValid(SVA.size(), 0),
         Buffers(NumChunks),
@@ -169,7 +168,6 @@ public:
       ChunkControllerConfig CC;
       CC.MinK = Opts.minChunksPerThread();
       CC.MaxK = Opts.maxChunksPerThread();
-      CC.EpochInvocations = Opts.Chunking.EpochInvocations;
       CC.SequentialRung = !Opts.AlwaysSpeculate;
       Controller = std::make_unique<ChunkController>(CC);
       setEffectiveK(Controller->currentK());
@@ -224,7 +222,7 @@ public:
   /// run, so batches of a warmed loop stay parallel throughout, while a
   /// cold loop (no predictions at submit time) runs the whole batch
   /// sequentially. The loop handle still runs one *submission* at a
-  /// time; the queue caps count a batch as Starts.size() invocations.
+  /// time; the queue cap counts a batch as Starts.size() invocations.
   /// An empty batch returns an invalid future. \p Starts is copied;
   /// the Traits object must stay valid until resolution.
   SpiceBatchFuture<State> submitBatch(std::span<const LiveIn> Starts) {
@@ -337,6 +335,13 @@ public:
   }
 
 private:
+  /// Re-enqueues of a failed-but-validated chunk as a stealable recovery
+  /// chunk before the paper's serial re-execution takes over (k > 1).
+  static constexpr unsigned kMaxRecoveryRequeues = 2;
+  /// Smallest capacity of the bootstrap sampler that seeds the first
+  /// invocation's predictions.
+  static constexpr size_t kBootstrapCapacity = 64;
+
   enum class ChunkStatus : uint8_t {
     Matched, ///< Found the successor's predicted live-in: chunk complete.
     Exited,  ///< Reached the natural loop exit.
@@ -555,8 +560,6 @@ private:
       R.Owner = std::this_thread::get_id();
       R.Invocations = static_cast<unsigned>(N);
       R.DeadlineMicros = Opts.SubmitDeadlineMicros;
-      R.LoopTag = this;
-      R.LoopCap = Opts.MaxQueuedSubmissions;
       R.OnGrant = [I = Inv.get()](WorkerPool::SessionHandle S,
                                   uint64_t Micros) {
         I->onGrant(std::move(S), Micros);
@@ -881,7 +884,6 @@ private:
   /// and the deques left empty, so the caller may re-launch.
   State resolveGranted(WorkerSession &Session, const LiveIn &Start,
                        unsigned ActiveChunks, uint64_t QueuedMicros) {
-    const auto ResolveStart = std::chrono::steady_clock::now();
     const std::vector<LiveIn> &Pred = PredArena;
     const SpiceStats Before = Stats;
     Stats.LaunchedSpecThreads += ActiveChunks;
@@ -968,7 +970,7 @@ private:
         if (!ReadsOk)
           ++Stats.ConflictSquashes;
         AnyFailure = true;
-        if (Oversubscribed && Requeues[J] < Opts.MaxRecoveryRequeues) {
+        if (Oversubscribed && Requeues[J] < kMaxRecoveryRequeues) {
           // Steal-aware recovery: discard the failed execution and
           // re-enqueue the chunk from its validated start. Successors
           // keep running -- their own commit-time validation decides
@@ -1088,17 +1090,8 @@ private:
       }
     }
 
-    // Feedback: marginal throughput to the scheduler's lane-rate EWMA
-    // (fed under every policy so LanePolicy::Adaptive starts warm), and
-    // the invocation's counter deltas to the chunk controller, which may
-    // move PlanChunks for the *next* plan.
-    const uint64_t ResolveMicros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - ResolveStart)
-            .count());
-    RT.scheduler().noteThroughput(
-        this, Stats.TotalIterations - Before.TotalIterations, Lanes,
-        ResolveMicros);
+    // Feedback: the invocation's counter deltas go to the chunk
+    // controller, which may move PlanChunks for the *next* plan.
     if (Controller) {
       InvocationSample Sample;
       Sample.Iterations = Stats.TotalIterations - Before.TotalIterations;
@@ -1106,14 +1099,9 @@ private:
           Stats.RecoveryIterations - Before.RecoveryIterations;
       Sample.WastedIterations =
           Stats.WastedIterations - Before.WastedIterations;
-      Sample.StolenChunks = Stats.StolenChunks - Before.StolenChunks;
-      Sample.QueuedMicros = QueuedMicros;
       Sample.Misspeculated = AnySquash;
       if (Stats.ImbalanceSamples > Before.ImbalanceSamples)
         Sample.LoadImbalance = Stats.ImbalanceSum - Before.ImbalanceSum;
-      if (Stats.ChunkImbalanceSamples > Before.ChunkImbalanceSamples)
-        Sample.ChunkImbalance =
-            Stats.ChunkImbalanceSum - Before.ChunkImbalanceSum;
       setEffectiveK(Controller->onInvocation(Sample));
     }
 

@@ -16,51 +16,22 @@
 
 using namespace spice;
 using namespace spice::jit;
-using namespace spice::core;
-
-uint64_t jit::hashLoopOptions(const LoopOptions &Opts) {
-  uint64_t H = 0xcbf29ce484222325ull; // FNV-1a offset basis.
-  auto Mix = [&H](uint64_t V) {
-    for (int I = 0; I != 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xff;
-      H *= 0x100000001b3ull;
-    }
-  };
-  Mix(Opts.ChunksPerThread);
-  Mix(static_cast<uint64_t>(Opts.Chunking.Mode));
-  Mix(Opts.Chunking.MinK);
-  Mix(Opts.Chunking.MaxK);
-  Mix(Opts.Chunking.EpochInvocations);
-  Mix(Opts.RememoizeEveryInvocation);
-  Mix(Opts.UseWeightedWork);
-  Mix(Opts.EnableConflictDetection);
-  Mix(Opts.MaxSpecIterations);
-  Mix(Opts.MaxRecoveryRequeues);
-  Mix(Opts.BootstrapCapacity);
-  Mix(static_cast<uint64_t>(static_cast<int64_t>(Opts.Priority)));
-  Mix(Opts.MaxQueuedSubmissions);
-  Mix(Opts.SubmitDeadlineMicros);
-  return H;
-}
 
 std::shared_ptr<const CompiledUnit>
-jit::compileLoop(const transform::CanonicalLoop &CL, bool RunPasses,
-                 std::string *WhyNot) {
+jit::compileLoop(const transform::CanonicalLoop &CL, std::string *WhyNot) {
   FrontendResult Lifted = liftLoop(CL);
   if (!Lifted.Fn) {
     if (WhyNot)
       *WhyNot = Lifted.Error;
     return nullptr;
   }
-  if (RunPasses)
-    runDefaultPasses(*Lifted.Fn);
+  runDefaultPasses(*Lifted.Fn);
   return lowerToClosures(std::move(Lifted.Fn));
 }
 
 std::shared_ptr<const CompiledUnit>
-CodeCache::lookup(const ir::Function *F, const ir::BasicBlock *Header,
-                  uint64_t OptsHash) {
-  auto It = Entries.find(Key{F, Header, OptsHash});
+CodeCache::lookup(const ir::Function *F, const ir::BasicBlock *Header) {
+  auto It = Entries.find(Key{F, Header});
   if (It == Entries.end()) {
     ++Stats.Misses;
     return nullptr;
@@ -71,9 +42,8 @@ CodeCache::lookup(const ir::Function *F, const ir::BasicBlock *Header,
 }
 
 void CodeCache::insert(const ir::Function *F, const ir::BasicBlock *Header,
-                       uint64_t OptsHash,
                        std::shared_ptr<const CompiledUnit> Unit) {
-  Key K{F, Header, OptsHash};
+  Key K{F, Header};
   auto It = Entries.find(K);
   if (It != Entries.end()) {
     It->second = Entry{std::move(Unit), NextTick++};
@@ -92,22 +62,18 @@ void CodeCache::insert(const ir::Function *F, const ir::BasicBlock *Header,
 
 std::shared_ptr<const CompiledUnit>
 CodeCache::getOrCompile(const transform::CanonicalLoop &CL,
-                        const LoopOptions &Opts, bool RunPasses,
                         std::string *WhyNot) {
-  uint64_t H = hashLoopOptions(Opts);
-  if (std::shared_ptr<const CompiledUnit> Unit =
-          lookup(CL.F, CL.Header, H))
+  if (std::shared_ptr<const CompiledUnit> Unit = lookup(CL.F, CL.Header))
     return Unit;
-  std::shared_ptr<const CompiledUnit> Unit =
-      compileLoop(CL, RunPasses, WhyNot);
+  std::shared_ptr<const CompiledUnit> Unit = compileLoop(CL, WhyNot);
   if (Unit)
-    insert(CL.F, CL.Header, H, Unit);
+    insert(CL.F, CL.Header, Unit);
   return Unit;
 }
 
 void CodeCache::invalidate(const ir::Function *F) {
   for (auto It = Entries.begin(); It != Entries.end();) {
-    if (std::get<0>(It->first) == F) {
+    if (It->first.first == F) {
       It = Entries.erase(It);
       ++Stats.Invalidations;
     } else {

@@ -7,14 +7,13 @@
 /// \file
 /// The code cache closes the serving-layer loop: the same IR loops are
 /// re-submitted millions of times, so compilation must be paid once.
-/// Units are keyed by (source function, loop header, LoopOptions hash) --
-/// the options hash keeps units compiled under different loop policies
-/// distinct, so a policy change (say, flipping EnableConflictDetection)
-/// cleanly misses instead of resurrecting a unit compiled under other
-/// assumptions. Eviction is LRU at a fixed capacity; invalidate(F) drops
-/// every unit lifted from F (the hook for callers that mutate IR between
-/// runs). Units are handed out as shared_ptr<const CompiledUnit>, so an
-/// evicted unit stays valid for loops still running it.
+/// Units are keyed by (source function, loop header): compilation reads
+/// the IR alone -- no loop policy -- so every runner of one loop, under
+/// any LoopOptions, shares one unit. Eviction is LRU at a fixed
+/// capacity; invalidate(F) drops every unit lifted from F (the hook for
+/// callers that mutate IR between runs). Units are handed out as
+/// shared_ptr<const CompiledUnit>, so an evicted unit stays valid for
+/// loops still running it.
 ///
 /// compileLoop() is the full pipeline (frontend -> passes -> backend);
 /// CodeCache::getOrCompile() wraps it with the cache, and its Stats
@@ -30,7 +29,6 @@
 #ifndef SPICE_JIT_CODECACHE_H
 #define SPICE_JIT_CODECACHE_H
 
-#include "core/SpiceConfig.h"
 #include "jit/Backend.h"
 #include "transform/CanonicalLoop.h"
 
@@ -40,22 +38,16 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
+#include <utility>
 
 namespace spice {
 namespace jit {
 
-/// Stable hash of every LoopOptions field that identifies a compilation
-/// policy context (FNV-1a over the field values).
-uint64_t hashLoopOptions(const core::LoopOptions &Opts);
-
 /// Full compile pipeline: match is the caller's job (the CanonicalLoop
-/// proves the shape); this lifts, optimizes (unless \p RunPasses is
-/// false) and lowers. Returns null with \p WhyNot set when the frontend
-/// refuses the region.
+/// proves the shape); this lifts, optimizes and lowers. Returns null
+/// with \p WhyNot set when the frontend refuses the region.
 std::shared_ptr<const CompiledUnit>
-compileLoop(const transform::CanonicalLoop &CL, bool RunPasses = true,
-            std::string *WhyNot = nullptr);
+compileLoop(const transform::CanonicalLoop &CL, std::string *WhyNot = nullptr);
 
 struct CodeCacheStats {
   uint64_t Hits = 0;
@@ -68,20 +60,18 @@ class CodeCache {
 public:
   explicit CodeCache(size_t Capacity = 64) : Capacity(Capacity ? Capacity : 1) {}
 
-  /// Cached unit for (function, header, options-hash), or null.
+  /// Cached unit for (function, header), or null.
   std::shared_ptr<const CompiledUnit>
-  lookup(const ir::Function *F, const ir::BasicBlock *Header,
-         uint64_t OptsHash);
+  lookup(const ir::Function *F, const ir::BasicBlock *Header);
 
   /// Inserts \p Unit, evicting the least recently used entry at capacity.
   void insert(const ir::Function *F, const ir::BasicBlock *Header,
-              uint64_t OptsHash, std::shared_ptr<const CompiledUnit> Unit);
+              std::shared_ptr<const CompiledUnit> Unit);
 
   /// lookup() or compileLoop()+insert(). Null (with \p WhyNot) when the
   /// region is not compilable; refusals are not cached.
   std::shared_ptr<const CompiledUnit>
   getOrCompile(const transform::CanonicalLoop &CL,
-               const core::LoopOptions &Opts, bool RunPasses = true,
                std::string *WhyNot = nullptr);
 
   /// Drops every unit lifted from \p F.
@@ -92,8 +82,7 @@ public:
   const CodeCacheStats &stats() const { return Stats; }
 
 private:
-  using Key = std::tuple<const ir::Function *, const ir::BasicBlock *,
-                         uint64_t>;
+  using Key = std::pair<const ir::Function *, const ir::BasicBlock *>;
   struct Entry {
     std::shared_ptr<const CompiledUnit> Unit;
     uint64_t Tick;

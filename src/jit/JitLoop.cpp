@@ -98,13 +98,13 @@ bool JitLoopRunner::ensureJitted() {
   if (Refused || !CL)
     return false;
   if (!Tier.ForceJit) {
-    if (InterpretedInvocations < Tier.WarmupInvocations)
-      return false;
+    if (InterpretedInvocations == 0)
+      return false; // Warmup: the profile is still empty.
     if (Profile.fractionIn(CL->L->blocks()) < Tier.HotnessThreshold)
       return false;
   }
   std::string Why;
-  Unit = Cache.getOrCompile(*CL, Opts, Tier.RunPasses, &Why);
+  Unit = Cache.getOrCompile(*CL, &Why);
   if (!Unit) {
     Refused = true;
     WhyNot = Why;
@@ -115,7 +115,6 @@ bool JitLoopRunner::ensureJitted() {
   Traits.Unit = Unit.get();
   Traits.MemBase = Mem.data();
   Traits.MemWords = Mem.size();
-  Traits.StepFuel = Tier.StepFuel;
   Traits.TemplateFrame.assign(Unit->Fn.NumRegs, 0);
   Traits.Deopts = &Deopts;
   Loop.emplace(Traits, RT, Opts);

@@ -11,10 +11,10 @@
 ///
 ///   * Cold: vm::runFunction, accumulating a vm::HotnessProfile.
 ///   * Hot (the profiled loop clears JitTierOptions::HotnessThreshold
-///     after WarmupInvocations, or ForceJit): the loop region is compiled
-///     through the CodeCache and every later invocation runs it natively
-///     inside a core::SpiceLoop -- speculation, conflict detection and
-///     recovery included -- via JitLoopTraits.
+///     after one interpreted invocation, or ForceJit): the loop region is
+///     compiled through the CodeCache and every later invocation runs it
+///     natively inside a core::SpiceLoop -- speculation, conflict
+///     detection and recovery included -- via JitLoopTraits.
 ///
 /// A JIT invocation is an interpreter sandwich. The entry slice runs the
 /// preheader in a vm::ThreadContext up to the loop header, which leaves
@@ -69,6 +69,12 @@ namespace jit {
 /// this stay on the interpreter tier.
 inline constexpr size_t kMaxSpeculatedLiveIns = 16;
 
+/// Op budget per JitLoopTraits::step(); bounds a mis-speculated chunk
+/// spinning in a garbage-driven inner loop. Must exceed any true
+/// iteration's op count (a true-path fuel deopt is a fatal error, like
+/// a true-path guard failure).
+inline constexpr uint64_t kStepFuel = 1ull << 24;
+
 /// The speculated live-in vector, one slot per non-reduction header phi
 /// in JitFunction::SpecPhiRegs order. Unused slots stay 0, so equality
 /// over the whole array matches equality over the used prefix.
@@ -98,11 +104,6 @@ struct JitLoopTraits {
   const CompiledUnit *Unit = nullptr;
   int64_t *MemBase = nullptr;
   uint64_t MemWords = 0;
-  /// Op budget per step(); bounds a mis-speculated chunk spinning in a
-  /// garbage-driven inner loop. Must exceed any true iteration's op
-  /// count (a true-path fuel deopt is a fatal error, like a true-path
-  /// guard failure).
-  uint64_t StepFuel = 1ull << 24;
   /// NumRegs-sized frame image: const pool, invariant bindings and
   /// reduction identities. Rebuilt by the runner before each
   /// invocation, stable while one is in flight.
@@ -118,7 +119,7 @@ struct JitLoopTraits {
     const JitFunction &Fn = Unit->Fn;
     for (size_t I = 0; I != Fn.SpecPhiRegs.size(); ++I)
       S.Frame[Fn.SpecPhiRegs[I]] = LI.V[I];
-    ExecCtx Ctx{S.Frame.data(), MemBase, MemWords, &Mem, StepFuel};
+    ExecCtx Ctx{S.Frame.data(), MemBase, MemWords, &Mem, kStepFuel};
     uint32_t R = execute(*Unit, Ctx);
     if (R == kRetDeopt) {
       if (!Mem.isSpeculative())
@@ -146,21 +147,17 @@ struct JitLoopTraits {
   void combine(State &Into, State &&Chunk) const;
 };
 
-/// Tiering policy knobs.
+/// Tiering policy knobs. Without ForceJit, a runner interprets its
+/// first invocation to build the hotness profile and consults the
+/// profile from the second invocation on.
 struct JitTierOptions {
   /// Minimum fraction of dynamic instructions the loop must account for
   /// before promotion -- the same 0.5% hotness math (vm::HotnessProfile)
   /// the section-6 profiler uses to pick candidate loops.
   double HotnessThreshold = 0.005;
-  /// Interpreted invocations to observe before consulting the profile.
-  uint64_t WarmupInvocations = 1;
   /// Compile on the first invocation, skipping warmup and the hotness
   /// check (benchmarks and tests of the JIT tier itself).
   bool ForceJit = false;
-  /// Run the optimization passes between frontend and backend.
-  bool RunPasses = true;
-  /// JitLoopTraits::StepFuel for promoted loops.
-  uint64_t StepFuel = 1ull << 24;
 };
 
 /// Per-runner tier counters (cache-level counters live in

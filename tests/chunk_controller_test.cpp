@@ -742,7 +742,7 @@ TEST(SequentialRung, LosingLoopReachesTheRungAndStaysCorrect) {
     SCOPED_TRACE(Adaptive ? "Adaptive(1, 1)" : "Static(2)");
     SpiceRuntime RT(/*NumThreads=*/4);
     SharedCounterLoop L(RT, withChunking(P));
-    const unsigned Epoch = P.EpochInvocations;
+    const unsigned Epoch = ChunkControllerConfig{}.EpochInvocations;
     std::optional<uint64_t> ParallelBeforeRung;
     for (int I = 0; I != 60; ++I) {
       L.invoke();
@@ -807,7 +807,7 @@ TEST(SequentialRung, PaperProtocolNeverEntersTheRung) {
 TEST(SequentialRung, BatchElementsStartingWhileTheRungHoldsRunSequentially) {
   SpiceRuntime RT(/*NumThreads=*/4);
   SharedCounterLoop L(RT, withChunking(ChunkPolicy::Static(2)));
-  const unsigned Epoch = L.Loop.options().Chunking.EpochInvocations;
+  const unsigned Epoch = ChunkControllerConfig{}.EpochInvocations;
   // The sequential bootstrap, then all but the last invocation of the
   // first (losing) epoch.
   for (unsigned I = 0; I != Epoch; ++I)

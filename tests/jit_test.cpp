@@ -337,26 +337,38 @@ TEST(JitBackend, GuardDivCatchesDivisionHazards) {
 // Code cache
 //===----------------------------------------------------------------------===//
 
-struct CachedOtter {
+/// One IR loop, built and matched, for the cache tests. Distinct
+/// workloads give distinct (function, loop header) keys.
+struct CachedLoop {
   ir::Module M;
-  workloads::OtterIR W{64, 3};
+  std::unique_ptr<workloads::IRWorkload> W;
   ir::Function *F;
   std::unique_ptr<transform::CanonicalLoop> CL;
 
-  CachedOtter() {
-    F = W.build(M);
+  explicit CachedLoop(std::unique_ptr<workloads::IRWorkload> WL)
+      : W(std::move(WL)) {
+    F = W->build(M);
     std::string Why;
     CL = transform::matchCanonicalLoop(*F, &Why);
     EXPECT_NE(CL, nullptr) << Why;
   }
 };
 
+CachedLoop cachedOtter() {
+  return CachedLoop(std::make_unique<workloads::OtterIR>(64, 3));
+}
+CachedLoop cachedKs() {
+  return CachedLoop(std::make_unique<workloads::KsIR>(72, 5, 7));
+}
+CachedLoop cachedMcf() {
+  return CachedLoop(std::make_unique<workloads::McfIR>(80, 9));
+}
+
 TEST(JitCodeCache, HitsOnReinvocation) {
-  CachedOtter O;
+  CachedLoop O = cachedOtter();
   CodeCache Cache;
-  core::LoopOptions Opts;
-  auto U1 = Cache.getOrCompile(*O.CL, Opts);
-  auto U2 = Cache.getOrCompile(*O.CL, Opts);
+  auto U1 = Cache.getOrCompile(*O.CL);
+  auto U2 = Cache.getOrCompile(*O.CL);
   ASSERT_NE(U1, nullptr);
   EXPECT_EQ(U1.get(), U2.get()) << "second compile must be a cache hit";
   EXPECT_EQ(Cache.stats().Misses, 1u);
@@ -364,55 +376,68 @@ TEST(JitCodeCache, HitsOnReinvocation) {
   EXPECT_EQ(Cache.size(), 1u);
 }
 
-TEST(JitCodeCache, ChangedLoopOptionsMissByKey) {
-  CachedOtter O;
+TEST(JitCodeCache, RunnersWithDifferentLoopOptionsShareOneUnit) {
+  // Compilation reads the IR alone, so the key is (function, loop
+  // header): a second runner of the function under another loop policy
+  // reuses the first runner's unit, and both match the interpreter.
+  Side Oracle(makeOtter());
+  Side Jit(makeOtter());
+  core::SpiceRuntime RT(/*NumThreads=*/4);
   CodeCache Cache;
-  core::LoopOptions A;
-  A.ChunksPerThread = 2;
-  core::LoopOptions B = A;
-  B.EnableConflictDetection = !A.EnableConflictDetection;
-  EXPECT_NE(hashLoopOptions(A), hashLoopOptions(B));
-  auto U1 = Cache.getOrCompile(*O.CL, A);
-  auto U2 = Cache.getOrCompile(*O.CL, B);
-  ASSERT_NE(U1, nullptr);
-  ASSERT_NE(U2, nullptr);
-  EXPECT_NE(U1.get(), U2.get()) << "policy change must not reuse the unit";
-  EXPECT_EQ(Cache.stats().Misses, 2u);
-  EXPECT_EQ(Cache.size(), 2u);
+  JitTierOptions Tier;
+  Tier.ForceJit = true;
+  core::LoopOptions Other;
+  Other.ChunksPerThread = 2;
+  Other.EnableConflictDetection = true;
+  JitLoopRunner First(RT, *Jit.F, Jit.Mem, Cache, core::LoopOptions{}, Tier);
+  JitLoopRunner Second(RT, *Jit.F, Jit.Mem, Cache, Other, Tier);
+
+  const int64_t Want = vm::runFunction(*Oracle.F, Oracle.Mem,
+                                       Oracle.W->invocationArgs(Oracle.Mem))
+                           .ReturnValue;
+  const std::vector<int64_t> Args = Jit.W->invocationArgs(Jit.Mem);
+  EXPECT_EQ(First.invoke(Args), Want);
+  EXPECT_EQ(Cache.stats().Misses, 1u);
+  EXPECT_EQ(Second.invoke(Args), Want);
+  ASSERT_TRUE(First.jitted() && Second.jitted());
+  EXPECT_EQ(First.unit(), Second.unit()) << "one compiled unit, two runners";
+  EXPECT_EQ(Cache.stats().Misses, 1u);
+  EXPECT_EQ(Cache.stats().Hits, 1u);
+  EXPECT_EQ(Cache.size(), 1u);
 }
 
 TEST(JitCodeCache, EvictsLeastRecentlyUsedAtCapacity) {
-  CachedOtter O;
+  CachedLoop A = cachedOtter(), B = cachedKs(), C = cachedMcf();
   CodeCache Cache(/*Capacity=*/2);
-  core::LoopOptions A, B, C;
-  A.ChunksPerThread = 1;
-  B.ChunksPerThread = 2;
-  C.ChunksPerThread = 4;
-  auto UA = Cache.getOrCompile(*O.CL, A);
-  auto UB = Cache.getOrCompile(*O.CL, B);
+  auto UA = Cache.getOrCompile(*A.CL);
+  auto UB = Cache.getOrCompile(*B.CL);
   // Touch A so B becomes the LRU entry.
-  EXPECT_NE(Cache.lookup(O.CL->F, O.CL->Header, hashLoopOptions(A)), nullptr);
-  auto UC = Cache.getOrCompile(*O.CL, C);
+  EXPECT_NE(Cache.lookup(A.F, A.CL->Header), nullptr);
+  auto UC = Cache.getOrCompile(*C.CL);
   ASSERT_NE(UC, nullptr);
   EXPECT_EQ(Cache.size(), 2u);
   EXPECT_EQ(Cache.stats().Evictions, 1u);
-  EXPECT_EQ(Cache.lookup(O.CL->F, O.CL->Header, hashLoopOptions(B)), nullptr)
+  EXPECT_EQ(Cache.lookup(B.F, B.CL->Header), nullptr)
       << "B was least recently used and must be gone";
-  EXPECT_NE(Cache.lookup(O.CL->F, O.CL->Header, hashLoopOptions(A)), nullptr);
+  EXPECT_NE(Cache.lookup(A.F, A.CL->Header), nullptr);
   EXPECT_NE(UB, nullptr) << "evicted units stay alive for their holders";
 }
 
 TEST(JitCodeCache, InvalidateDropsAllUnitsOfAFunction) {
-  CachedOtter O;
+  CachedLoop A = cachedOtter(), B = cachedKs();
   CodeCache Cache;
-  core::LoopOptions A, B;
-  B.ChunksPerThread = 8;
-  (void)Cache.getOrCompile(*O.CL, A);
-  (void)Cache.getOrCompile(*O.CL, B);
-  ASSERT_EQ(Cache.size(), 2u);
-  Cache.invalidate(O.CL->F);
-  EXPECT_EQ(Cache.size(), 0u);
+  auto UA = Cache.getOrCompile(*A.CL);
+  ASSERT_NE(UA, nullptr);
+  (void)Cache.getOrCompile(*B.CL);
+  // A second unit of A's function, as a second loop of it would key
+  // one: invalidation drops by function, whatever the header.
+  Cache.insert(A.F, A.F->getEntryBlock(), UA);
+  ASSERT_EQ(Cache.size(), 3u);
+  Cache.invalidate(A.F);
+  EXPECT_EQ(Cache.size(), 1u);
   EXPECT_EQ(Cache.stats().Invalidations, 2u);
+  EXPECT_NE(Cache.lookup(B.F, B.CL->Header), nullptr)
+      << "units of other functions survive";
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,13 +17,14 @@
 // batched submission (SpiceLoop::submitBatch / SpiceBatchFuture --
 // N-invocation equivalence through one admission, per-element
 // exception isolation, abandoned batches releasing their lease) and
-// bounded admission (queue caps with OverloadPolicy::Reject /
+// bounded admission (a queue cap with OverloadPolicy::Reject /
 // DeadlineDrop shedding counted in SchedulerStats, and Block parking
 // submitters until grants make room -- the Block test runs real client
 // threads and is a TSan target like the fair-share one).
 //
 //===----------------------------------------------------------------------===//
 
+#include "StatsIdentities.h"
 #include "core/LoopBuilder.h"
 #include "core/Scheduler.h"
 #include "core/SpiceFuture.h"
@@ -136,50 +137,6 @@ TEST(PlanGrants, FairShareNeverGrantsBeyondARequest) {
   EXPECT_EQ(Plan[1].Lanes, 2u);
 }
 
-TEST(PlanGrants, AdaptiveWeightsLanesByObservedThroughput) {
-  // Candidate::LaneRate is the noteThroughput EWMA (iterations per
-  // lane-microsecond). A loop committing 3x the iterations per lane
-  // draws 3x the lanes.
-  Candidates Q = {{4, 0, 0, /*LaneRate=*/3.0}, {4, 0, 0, /*LaneRate=*/1.0}};
-  auto Plan = Scheduler::planGrants(Q, 4, LanePolicy::Adaptive, 0);
-  ASSERT_EQ(Plan.size(), 2u);
-  EXPECT_EQ(Plan[0].Lanes, 3u);
-  EXPECT_EQ(Plan[1].Lanes, 1u);
-}
-
-TEST(PlanGrants, AdaptiveUnsampledLoopTakesTheMeanOfKnownRates) {
-  // No sample yet (LaneRate <= 0) is neutral, not punitive: the loop is
-  // weighted at the mean of the measured rates until it proves itself.
-  Candidates Q = {{4, 0, 0, /*LaneRate=*/2.0}, {4, 0, 0, /*LaneRate=*/-1.0}};
-  auto Plan = Scheduler::planGrants(Q, 4, LanePolicy::Adaptive, 0);
-  ASSERT_EQ(Plan.size(), 2u);
-  EXPECT_EQ(Plan[0].Lanes, 2u);
-  EXPECT_EQ(Plan[1].Lanes, 2u) << "unknown rate must split evenly, not starve";
-}
-
-TEST(PlanGrants, AdaptiveWithNoSamplesDegradesToFairShare) {
-  // Before any invocation completes nobody has a rate: the split must be
-  // exactly FairShare's request-proportional one.
-  Candidates Q = {{8, 0, 0}, {1, 0, 0}};
-  auto Adaptive = Scheduler::planGrants(Q, 4, LanePolicy::Adaptive, 0);
-  auto Fair = Scheduler::planGrants(Q, 4, LanePolicy::FairShare, 0);
-  ASSERT_EQ(Adaptive.size(), Fair.size());
-  for (size_t I = 0; I != Fair.size(); ++I) {
-    EXPECT_EQ(Adaptive[I].Index, Fair[I].Index);
-    EXPECT_EQ(Adaptive[I].Lanes, Fair[I].Lanes);
-  }
-}
-
-TEST(PlanGrants, AdaptiveKeepsTheFloorOfOneLane) {
-  // However lopsided the rates, an admitted request is never starved to
-  // zero lanes -- same floor FairShare guarantees.
-  Candidates Q = {{4, 0, 0, /*LaneRate=*/100.0}, {4, 0, 0, /*LaneRate=*/0.01}};
-  auto Plan = Scheduler::planGrants(Q, 4, LanePolicy::Adaptive, 0);
-  ASSERT_EQ(Plan.size(), 2u);
-  EXPECT_EQ(Plan[0].Lanes, 3u);
-  EXPECT_EQ(Plan[1].Lanes, 1u) << "the slow loop keeps its one-lane floor";
-}
-
 TEST(PlanGrants, PriorityIsStrictWithoutAging) {
   Candidates Q = {{2, /*Priority=*/0, /*QueuedMicros=*/50000},
                   {2, /*Priority=*/5, /*QueuedMicros=*/0}};
@@ -187,7 +144,7 @@ TEST(PlanGrants, PriorityIsStrictWithoutAging) {
       Scheduler::planGrants(Q, 2, LanePolicy::Priority, /*AgingStep=*/0);
   ASSERT_EQ(Plan.size(), 1u);
   EXPECT_EQ(Plan[0].Index, 1u) << "higher static priority wins; aging "
-                                  "disabled with AgingStepMicros == 0";
+                                  "disabled with a zero aging step";
   EXPECT_EQ(Plan[0].Lanes, 2u);
 }
 
@@ -393,13 +350,15 @@ TEST(LaneScheduler, FairShareTwoClientsBothProgressOnAStarvedPool) {
   EXPECT_GT(S.Submitted, 0u);
   EXPECT_EQ(S.ImmediateGrants + S.DeferredGrants, S.Submitted)
       << "every admitted request must eventually be granted";
+  test::checkStatsInvariants(LoopA.stats());
+  test::checkStatsInvariants(LoopB.stats());
+  test::checkStatsInvariants(S);
 }
 
 TEST(LaneScheduler, PriorityPolicyRuntimeStaysCorrectUncontended) {
   RuntimeConfig C;
   C.NumThreads = 4;
   C.Policy = LanePolicy::Priority;
-  C.AgingStepMicros = 500;
   SpiceRuntime RT(C);
   CountTraits T;
   LoopOptions High;
@@ -408,48 +367,8 @@ TEST(LaneScheduler, PriorityPolicyRuntimeStaysCorrectUncontended) {
   for (int I = 0; I != 4; ++I)
     EXPECT_EQ(Loop.invoke(0).Sum, T.expected());
   EXPECT_EQ(RT.schedulerStats().ImmediateGrants, 3u);
-}
-
-TEST(LaneScheduler, AdaptivePolicyRuntimeStaysCorrectAndSamplesRates) {
-  // End-to-end Adaptive: two contending loops on a starved pool. The
-  // correctness bar is FairShare's (both oracles hold, every admitted
-  // request granted); additionally the scheduler must have collected
-  // throughput samples and stamped its grants as adaptive.
-  RuntimeConfig C;
-  C.NumThreads = 3;
-  C.Policy = LanePolicy::Adaptive;
-  SpiceRuntime RT(C);
-  OtterTraits OtterA, OtterB;
-  auto LoopA = RT.makeLoop(OtterA);
-  auto LoopB = RT.makeLoop(OtterB);
-
-  std::atomic<bool> AOk{true}, BOk{true};
-  auto Client = [](decltype(LoopA) &Loop, uint64_t Seed,
-                   std::atomic<bool> &Ok) {
-    ClauseList List(400, Seed);
-    for (int I = 0; I != 30 && List.head(); ++I) {
-      Clause *Expected = List.findLightestReference();
-      SpiceFuture<OtterTraits::State> F = Loop.submit(List.head());
-      OtterTraits::State Got = F.get();
-      if (Got.MinClause != Expected) {
-        Ok.store(false);
-        return;
-      }
-      List.mutate(Got.MinClause, 2);
-    }
-  };
-  std::thread TA([&] { Client(LoopA, 91, AOk); });
-  std::thread TB([&] { Client(LoopB, 92, BOk); });
-  TA.join();
-  TB.join();
-  EXPECT_TRUE(AOk.load()) << "loop A diverged from its oracle";
-  EXPECT_TRUE(BOk.load()) << "loop B diverged from its oracle";
-  SchedulerStats S = RT.schedulerStats();
-  EXPECT_EQ(S.ImmediateGrants + S.DeferredGrants, S.Submitted)
-      << "every admitted request must eventually be granted";
-  EXPECT_EQ(S.AdaptiveGrants, S.ImmediateGrants + S.DeferredGrants);
-  EXPECT_GT(S.ThroughputSamples, 0u)
-      << "parallel invocations must feed the per-loop rate EWMA";
+  test::checkStatsInvariants(Loop.stats());
+  test::checkStatsInvariants(RT.schedulerStats());
 }
 
 //===----------------------------------------------------------------------===//
@@ -493,6 +412,10 @@ TEST(BatchFuture, BatchMatchesNSoloSubmissionsThroughOneAdmission) {
   EXPECT_EQ(SB.ImmediateGrants, 1u);
   EXPECT_EQ(SB.HighWaterQueueDepth, 8u)
       << "queue depth is weighted: a batch counts as its size";
+  test::checkStatsInvariants(A);
+  test::checkStatsInvariants(B);
+  test::checkStatsInvariants(SA);
+  test::checkStatsInvariants(SB);
 }
 
 TEST(BatchFuture, EmptyBatchIsInvalidAndTouchesNothing) {
@@ -599,6 +522,7 @@ TEST(Overload, RejectShedsSubmissionsPastTheRuntimeCap) {
   EXPECT_EQ(S.Submitted, 2u) << "a rejected submission is never admitted";
   EXPECT_EQ(S.HighWaterQueueDepth, 1u) << "the cap bounded the queue";
   EXPECT_EQ(RT.pool().freeWorkers(), 1u);
+  test::checkStatsInvariants(S);
 }
 
 TEST(Overload, DeadlineDropShedsARequestThatOutwaitedItsDeadline) {
@@ -629,6 +553,7 @@ TEST(Overload, DeadlineDropShedsARequestThatOutwaitedItsDeadline) {
   EXPECT_EQ(S.Submitted, 2u) << "dropped requests were admitted first";
   EXPECT_EQ(S.DeferredGrants, 0u) << "B must never have been granted";
   EXPECT_EQ(RT.pool().freeWorkers(), 1u);
+  test::checkStatsInvariants(S);
 }
 
 TEST(Overload, BlockParksASubmitterUntilGrantsMakeRoom) {
@@ -671,34 +596,7 @@ TEST(Overload, BlockParksASubmitterUntilGrantsMakeRoom) {
   EXPECT_EQ(S.DroppedDeadline, 0u);
   EXPECT_EQ(S.Submitted, 3u);
   EXPECT_EQ(S.HighWaterQueueDepth, 1u) << "the cap held while parking";
-}
-
-TEST(Overload, PerLoopCapRejectsABatchLargerThanTheCap) {
-  // The per-loop cap weighs a batch as its size and sheds it whole: a
-  // batch of 4 against MaxQueuedSubmissions = 2 resolves every element
-  // to the same OverloadError, and a batch within the cap still runs.
-  RuntimeConfig C;
-  C.NumThreads = 4;
-  C.Overload = OverloadPolicy::Reject;
-  SpiceRuntime RT(C);
-  CountTraits T;
-  LoopOptions O;
-  O.MaxQueuedSubmissions = 2;
-  auto Loop = RT.makeLoop(T, O);
-  EXPECT_EQ(Loop.invoke(0).Sum, T.expected()); // Warm.
-
-  std::vector<int64_t> Four(4, 0);
-  SpiceBatchFuture<CountTraits::State> F = Loop.submitBatch(Four);
-  EXPECT_TRUE(F.valid());
-  for (size_t I = 0; I != 4; ++I)
-    EXPECT_THROW(F.get(I), OverloadError)
-        << "the batch was one request, so it sheds as one";
-  F = SpiceBatchFuture<CountTraits::State>();
-  EXPECT_EQ(RT.schedulerStats().RejectedSubmissions, 1u);
-
-  std::vector<int64_t> Two(2, 0);
-  for (CountTraits::State &S : Loop.submitBatch(Two).take())
-    EXPECT_EQ(S.Sum, T.expected());
+  test::checkStatsInvariants(S);
 }
 
 //===----------------------------------------------------------------------===//

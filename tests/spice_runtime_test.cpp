@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "StatsIdentities.h"
 #include "core/LoopBuilder.h"
 #include "core/SpiceLoop.h"
 #include "core/SpiceRuntime.h"
@@ -237,6 +238,9 @@ TEST(SpiceRuntime, TwoLoopsInvokedConcurrentlyFromTwoClientThreads) {
   EXPECT_TRUE(McfOk.load()) << "mcf loop diverged from its oracle";
   EXPECT_GE(Select.stats().Invocations, 20u);
   EXPECT_GE(Refresh.stats().Invocations, 30u);
+  test::checkStatsInvariants(Select.stats());
+  test::checkStatsInvariants(Refresh.stats());
+  test::checkStatsInvariants(RT.schedulerStats());
 }
 
 // Same two-client scenario on a deliberately starved pool (NumThreads=2,
@@ -398,6 +402,9 @@ TEST(SpiceRuntime, SubmitStormFromTwoClientsOnTwoWorkers) {
   EXPECT_GT(A.stats().LaunchedSpecThreads, 0u) << "the storm ran parallel";
   EXPECT_EQ(RT.pool().busyWorkers(), 0u);
   EXPECT_EQ(RT.pool().freeWorkers(), 2u);
+  test::checkStatsInvariants(A.stats());
+  test::checkStatsInvariants(B.stats());
+  test::checkStatsInvariants(RT.schedulerStats());
 }
 
 namespace {
