@@ -657,10 +657,11 @@ int main() {
               "sequential oracle while the\nother five compete for "
               "lanes: queued-us is time invocations sat in the\n"
               "admission queue, capped grants ran on fewer lanes than "
-              "requested (FairShare\nsplits deliberately). The topo row "
-              "reruns fairshare on a fake 2-node topology\n"
-              "(docs/topology.md): steal_local_fraction %.3f of steals "
-              "stayed on the victim's\nnode.\n",
+              "min(requested, pool\nworkers): contention, FairShare "
+              "splits, or node trims. The topo row reruns\nfairshare on "
+              "a fake 2-node topology (docs/topology.md), node-packed by "
+              "the\nscheduler's lease ledger: steal_local_fraction %.3f "
+              "of steals stayed on the\nvictim's node.\n",
               StealLocalFraction);
 
   Json.scalar("budget", std::string(Bench.budgetName()));

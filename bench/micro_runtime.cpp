@@ -22,6 +22,7 @@
 #include "BenchUtil.h"
 
 #include "core/Planner.h"
+#include "core/Scheduler.h"
 #include "core/SpecWriteBuffer.h"
 #include "core/SpiceLoop.h"
 #include "core/SpiceRuntime.h"
@@ -125,12 +126,14 @@ void BM_PlannerCompute(benchmark::State &State) {
 }
 
 void BM_SessionRoundTrip(benchmark::State &State) {
-  // Per-invocation cost of the shared-pool path: lease lanes, launch,
-  // wait, release (what every parallel invocation pays underneath).
+  // Per-invocation cost of the shared-pool path: lease lanes from the
+  // scheduler's ledger, launch, wait, release (what every parallel
+  // invocation pays underneath).
   WorkerPool Pool(3);
+  Scheduler Sched(Pool, RuntimeConfig{});
   std::atomic<uint64_t> Sink{0};
   for (auto _ : State) {
-    WorkerPool::SessionHandle S = Pool.tryAcquireSessionFor(
+    Scheduler::SessionHandle S = Sched.tryAcquireSessionFor(
         3, /*AllowStealing=*/true, std::this_thread::get_id());
     S->launch([&](unsigned I) { Sink.fetch_add(I); });
     S->wait();
@@ -154,7 +157,7 @@ void BM_SubmitRoundTrip(benchmark::State &State) {
 void BM_SubmitRoundTripContended(benchmark::State &State) {
   // Same round trip with a second client thread hammering its own loop
   // on the same runtime: submissions queue at the scheduler and grants
-  // ride the deferred (release-hook) path.
+  // ride the deferred (session-release) path.
   SpiceRuntime RT(/*NumThreads=*/4);
   MicroCountTraits Traits, BgTraits;
   auto Loop = RT.makeLoop(Traits);

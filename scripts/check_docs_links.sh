@@ -11,13 +11,15 @@
 #     docs/, for the same reason (docs/jit.md is the map);
 #  5. every topology header (src/topology/*.h) is mentioned somewhere
 #     under docs/ (docs/topology.md is the operator guide);
-#  6. every option or counter the docs cite as Scope::Name -- for the
-#     option structs (RuntimeConfig, LoopOptions, ChunkPolicy,
-#     JitTierOptions), the policy enums (LanePolicy, OverloadPolicy) and
-#     the counter structs (SpiceStats, SchedulerStats) -- is a member of
-#     that struct or enum in its header, so a deleted or renamed knob
-#     cannot live on in the docs. Scope-aware: ChunkPolicy::Adaptive
-#     resolving says nothing about LanePolicy::Adaptive.
+#  6. every option, counter or runtime method the docs cite as
+#     Scope::Name -- for the option structs (RuntimeConfig, LoopOptions,
+#     ChunkPolicy, JitTierOptions), the policy enums (LanePolicy,
+#     OverloadPolicy), the counter structs (SpiceStats, SchedulerStats)
+#     and the runtime classes (WorkerPool, WorkerSession, Scheduler,
+#     SpiceRuntime, SpiceLoop) -- is a member of that struct, enum or
+#     class in its header, so a deleted or renamed knob or method cannot
+#     live on in the docs. Scope-aware: ChunkPolicy::Adaptive resolving
+#     says nothing about LanePolicy::Adaptive.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -85,13 +87,16 @@ python3 - docs/*.md README.md bench/README.md <<'PY' || fail=1
 import glob, re, sys
 
 SCOPES = ("RuntimeConfig", "LoopOptions", "ChunkPolicy", "JitTierOptions",
-          "LanePolicy", "OverloadPolicy", "SpiceStats", "SchedulerStats")
+          "LanePolicy", "OverloadPolicy", "SpiceStats", "SchedulerStats",
+          "WorkerPool", "WorkerSession", "Scheduler", "SpiceRuntime",
+          "SpiceLoop")
 SOURCES = {path: re.sub(r"//[^\n]*", "", open(path).read())
            for path in glob.glob("src/**/*.h", recursive=True)}
 
 def body(scope):
-    """Text between the braces of the struct/enum definition of scope."""
-    head = re.compile(r"\b(?:struct|enum class)\s+%s\b[^;{]*\{" % scope)
+    """Text between the braces of the struct/enum/class definition of
+    scope."""
+    head = re.compile(r"\b(?:struct|enum class|class)\s+%s\b[^;{]*\{" % scope)
     hits = [(p, m) for p, t in SOURCES.items() for m in head.finditer(t)]
     if len(hits) != 1:
         sys.exit("check 6: %d definitions of %s under src/" % (len(hits), scope))
@@ -151,4 +156,4 @@ if [ "$fail" -ne 0 ]; then
   echo "docs link check FAILED"
   exit 1
 fi
-echo "docs links resolve; all workload, core, jit and topology headers documented; every cited option and counter exists"
+echo "docs links resolve; all workload, core, jit and topology headers documented; every cited option, counter and method exists"

@@ -11,10 +11,25 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <optional>
+#include <utility>
 
 using namespace spice;
 using namespace spice::core;
+
+static uint64_t microsBetween(Scheduler::Clock::time_point From,
+                              Scheduler::Clock::time_point To) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(To - From).count());
+}
+
+Scheduler::Scheduler(WorkerPool &Pool, const RuntimeConfig &Config)
+    : Pool(Pool), Policy(Config.Policy),
+      RuntimeCap(Config.MaxQueuedInvocations), Overload(Config.Overload),
+      Holder(Pool.size()), FreeCount(Pool.size()) {
+  if (Pool.localityActive())
+    for (unsigned N = 0; N != Pool.numNodes(); ++N)
+      FreeByNode.push_back(Pool.placement()->workersOfNode(N));
+}
 
 Scheduler::~Scheduler() {
   std::lock_guard<std::mutex> Lock(M);
@@ -22,6 +37,8 @@ Scheduler::~Scheduler() {
     reportFatalError("destroying a Scheduler with invocations still "
                      "queued; resolve every SpiceFuture before tearing "
                      "down the runtime");
+  assert(FreeCount == Holder.size() &&
+         "destroying a Scheduler with sessions still leased");
 }
 
 bool Scheduler::overCapLocked(const Request &R) const {
@@ -33,19 +50,12 @@ void Scheduler::noteRemovedLocked(const Entry &E) {
   QueuedInvs -= std::min<uint64_t>(QueuedInvs, E.R.Invocations);
 }
 
-void Scheduler::sweepExpiredLocked(
-    Clock::time_point Now, std::vector<std::function<void()>> &Drops) {
+void Scheduler::sweepExpiredLocked(Clock::time_point Now, uint64_t Spare,
+                                   std::vector<std::function<void()>> &Drops) {
   for (size_t I = 0; I != Queue.size();) {
     Entry &E = Queue[I];
-    // Immediate entries are exempt: the submission that enqueued them is
-    // still inside its own grant pass, which must get first shot even at
-    // a zero deadline.
-    bool Expired =
-        !E.Immediate && E.R.DeadlineMicros > 0 &&
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Now - E.Enqueued)
-                .count()) >= E.R.DeadlineMicros;
+    bool Expired = E.Ticket != Spare && E.R.DeadlineMicros > 0 &&
+                   microsBetween(E.Enqueued, Now) >= E.R.DeadlineMicros;
     if (!Expired) {
       ++I;
       continue;
@@ -62,17 +72,17 @@ uint64_t Scheduler::submit(Request R) {
   assert(R.RequestedLanes >= 1 && "a lane request needs at least one lane");
   assert(R.OnGrant && "a lane request needs a grant callback");
   assert(R.Invocations >= 1 && "a request admits at least one invocation");
+  Outcome Out;
   uint64_t Ticket;
-  std::vector<std::function<void()>> Drops;
   {
     std::unique_lock<std::mutex> Lock(M);
     if (overCapLocked(R)) {
       switch (Overload) {
       case OverloadPolicy::Block:
-        // Self-deadlock diagnostic, same shape as awaitGrant's: room is
+        // Self-deadlock diagnostic, same query as awaitGrant's: room is
         // only made by grants, grants need lanes, and every lane is
         // leased to this thread's own (parked) stack.
-        if (Pool.callerHoldsEntirePool())
+        if (callerHoldsEveryWorkerLocked())
           reportFatalError(
               "Scheduler::submit would deadlock waiting for queue "
               "room: this thread's sessions lease every worker of the "
@@ -83,15 +93,14 @@ uint64_t Scheduler::submit(Request R) {
         break;
       case OverloadPolicy::DeadlineDrop:
         // Expired entries make room first; what remains decides.
-        sweepExpiredLocked(Clock::now(), Drops);
+        sweepExpiredLocked(Clock::now(), /*Spare=*/0, Out.Drops);
         if (!overCapLocked(R))
           break;
         [[fallthrough]];
       case OverloadPolicy::Reject:
         ++St.RejectedSubmissions;
         Lock.unlock();
-        for (auto &D : Drops)
-          D();
+        deliver(Out);
         return 0;
       }
     }
@@ -100,33 +109,35 @@ uint64_t Scheduler::submit(Request R) {
     St.HighWaterQueueDepth =
         std::max<uint64_t>(St.HighWaterQueueDepth, QueuedInvs);
     ++St.Submitted;
-    Queue.push_back(
-        Entry{std::move(R), Clock::now(), Ticket, /*Immediate=*/true});
+    Queue.push_back(Entry{std::move(R), Clock::now(), Ticket});
+    grantLocked(/*Fresh=*/Ticket, Out);
   }
-  for (auto &D : Drops)
-    D();
-  runGrants();
-  // If our own pass did not grant this request, it now waits for a
-  // deferred grant and accumulates real queue time from Enqueued on.
-  // Only this entry is downgraded: a concurrent submitter's entry stays
-  // Immediate until *its* submit() finishes its own pass, keeping the
-  // ImmediateGrants / QueuedMicros==0 definition exact per request.
-  std::lock_guard<std::mutex> Lock(M);
-  for (Entry &E : Queue)
-    if (E.Ticket == Ticket)
-      E.Immediate = false;
+  deliver(Out);
   return Ticket;
 }
 
-bool Scheduler::isQueued(uint64_t Ticket) const {
+Scheduler::SessionHandle
+Scheduler::tryAcquireSessionFor(unsigned MaxLanes, bool AllowStealing,
+                                std::thread::id Owner) {
   std::lock_guard<std::mutex> Lock(M);
-  for (const Entry &E : Queue)
-    if (E.Ticket == Ticket)
-      return true;
-  return false;
+  if (FreeCount == 0)
+    return nullptr;
+  return leaseLocked(MaxLanes, AllowStealing, Owner);
 }
 
-void Scheduler::onLanesFreed() { runGrants(); }
+bool Scheduler::queuedBehindOwnLeases(uint64_t Ticket) const {
+  std::lock_guard<std::mutex> Lock(M);
+  return callerHoldsEveryWorkerLocked() &&
+         std::any_of(Queue.begin(), Queue.end(),
+                     [Ticket](const Entry &E) { return E.Ticket == Ticket; });
+}
+
+bool Scheduler::callerHoldsEveryWorkerLocked() const {
+  const std::thread::id Me = std::this_thread::get_id();
+  return !Holder.empty() &&
+         std::all_of(Holder.begin(), Holder.end(),
+                     [Me](std::thread::id H) { return H == Me; });
+}
 
 SchedulerStats Scheduler::stats() const {
   std::lock_guard<std::mutex> Lock(M);
@@ -143,11 +154,22 @@ uint64_t Scheduler::queuedInvocations() const {
   return QueuedInvs;
 }
 
+unsigned Scheduler::freeWorkers() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return FreeCount;
+}
+
+unsigned Scheduler::freeWorkersOnNode(unsigned Node) const {
+  std::lock_guard<std::mutex> Lock(M);
+  unsigned Free = 0;
+  for (unsigned W = 0; W != Holder.size(); ++W)
+    Free += Holder[W] == std::thread::id() && Pool.nodeOfWorker(W) == Node;
+  return Free;
+}
+
 std::vector<Scheduler::Grant>
-Scheduler::planGrants(const std::vector<Candidate> &Pending,
-                      unsigned FreeLanes, LanePolicy Policy,
-                      uint64_t AgingStepMicros,
-                      const std::vector<unsigned> *NodeFreeLanes) {
+Scheduler::planGrants(const std::vector<Candidate> &Pending, unsigned FreeLanes,
+                      LanePolicy Policy, uint64_t AgingStepMicros) {
   std::vector<Grant> Plan;
   if (FreeLanes == 0 || Pending.empty())
     return Plan;
@@ -235,191 +257,150 @@ Scheduler::planGrants(const std::vector<Candidate> &Pending,
   }
   }
 
-  // Node-packing post-pass (multi-node placement only): pick each
-  // grant's home node so its lanes come from one node where possible.
-  // Policy (who gets how many lanes) stays exactly as planned above;
-  // only the trim-to-node rule may shrink a grant, and the lanes it
-  // frees are re-offered to still-queued candidates below.
-  if (NodeFreeLanes && NodeFreeLanes->size() > 1) {
-    std::vector<unsigned> Free = *NodeFreeLanes;
-    auto Largest = [&Free] {
-      unsigned Big = 0;
-      for (unsigned N = 1; N != Free.size(); ++N)
-        if (Free[N] > Free[Big])
-          Big = N;
-      return Big;
-    };
-    for (Grant &G : Plan) {
-      // Best fit: the smallest block covering the grant (ties to the
-      // lower node id) leaves bigger blocks intact for wider grants.
-      int Best = -1;
-      for (unsigned N = 0; N != Free.size(); ++N)
-        if (Free[N] >= G.Lanes &&
-            (Best < 0 || Free[N] < Free[static_cast<unsigned>(Best)]))
-          Best = static_cast<int>(N);
-      if (Best >= 0) {
-        G.Node = Best;
-        Free[static_cast<unsigned>(Best)] -= G.Lanes;
-        continue;
-      }
-      unsigned Big = Largest();
-      if (Free[Big] > 0 && 2 * Free[Big] >= G.Lanes) {
-        // Trim to the largest block: one-node locality beats raw lane
-        // count when the block covers at least half the grant.
-        G.Lanes = Free[Big];
-        G.Node = static_cast<int>(Big);
-        Free[Big] = 0;
-        continue;
-      }
-      // The grant must span nodes; start it at the largest block and
-      // account the spill against the next-largest blocks, mirroring
-      // the pool's lease spill-over.
-      G.Node = Free[Big] > 0 ? static_cast<int>(Big) : -1;
-      unsigned Left = G.Lanes;
-      while (Left > 0) {
-        unsigned B = Largest();
-        if (Free[B] == 0)
-          break;
-        unsigned Take = std::min(Free[B], Left);
-        Free[B] -= Take;
-        Left -= Take;
-      }
-    }
-    // Trimmed lanes are real capacity: offer one node block each to the
-    // candidates the policy pass left queued, in admission order.
-    std::vector<bool> InPlan(Pending.size(), false);
-    for (const Grant &G : Plan)
-      InPlan[G.Index] = true;
-    for (size_t I = 0; I != Pending.size(); ++I) {
-      if (InPlan[I])
-        continue;
-      unsigned Big = Largest();
-      if (Free[Big] == 0)
-        break;
-      unsigned Lanes = std::min(Pending[I].RequestedLanes, Free[Big]);
-      Plan.push_back(Grant{I, Lanes, static_cast<int>(Big)});
-      Free[Big] -= Lanes;
-    }
-  }
   return Plan;
 }
 
-void Scheduler::runGrants() {
-  struct Action {
-    Entry E;
-    WorkerPool::SessionHandle Session;
-    uint64_t QueuedMicros;
-  };
-  // The sole-candidate fast path fills Solo; only the contended
-  // multi-candidate path pays for the planning vectors below.
-  std::optional<Action> Solo;
-  std::vector<Action> Actions;
-  std::vector<std::function<void()>> Drops;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    if (Queue.empty())
-      return;
-    Clock::time_point Now = Clock::now();
-    // Expired entries leave before planning: a request past its deadline
-    // is shed even when lanes just became free for it.
-    if (Overload == OverloadPolicy::DeadlineDrop)
-      sweepExpiredLocked(Now, Drops);
-    if (Queue.size() == 1) {
-      // Fast path: with a single queued request, every LanePolicy grants
-      // it min(free lanes, requested) -- greedy, proportional, and
-      // priority orders are all trivial -- so skip planGrants and its
-      // per-pass Pending/Plan/Granted vectors. tryAcquireSessionFor
-      // itself returns null when no lane is free. This is the shape of
-      // every uncontended submit() and of the serving steady state.
-      Entry &E = Queue.front();
-      WorkerPool::SessionHandle S = Pool.tryAcquireSessionFor(
-          E.R.RequestedLanes, E.R.AllowStealing, E.R.Owner);
-      if (S) {
-        if (E.Immediate)
-          ++St.ImmediateGrants;
-        else
-          ++St.DeferredGrants;
-        if (S->lanes() < E.R.RequestedLanes)
-          ++St.CappedGrants;
-        uint64_t Waited =
-            E.Immediate
-                ? 0
-                : static_cast<uint64_t>(
-                      std::chrono::duration_cast<std::chrono::microseconds>(
-                          Now - E.Enqueued)
-                          .count());
-        St.TotalQueuedMicros += Waited;
-        noteRemovedLocked(E);
-        Solo.emplace(Action{std::move(E), std::move(S), Waited});
-        Queue.pop_front();
-      }
-    } else if (!Queue.empty()) {
-      // One snapshot drives both the lane total and the node-packing
-      // post-pass, so the plan can never see more (or differently
-      // distributed) lanes than the nodes it packs onto.
-      unsigned Free;
-      const std::vector<unsigned> *NodeFree = nullptr;
-      if (Pool.localityActive()) {
-        Pool.freeWorkersByNode(NodeFreeScratch);
-        Free = 0;
-        for (unsigned N : NodeFreeScratch)
-          Free += N;
-        NodeFree = &NodeFreeScratch;
-      } else {
-        Free = Pool.freeWorkers();
-      }
-      if (Free > 0) {
-        std::vector<Candidate> Pending;
-        Pending.reserve(Queue.size());
-        for (const Entry &E : Queue) {
-          uint64_t Waited =
-              E.Immediate
-                  ? 0
-                  : static_cast<uint64_t>(
-                        std::chrono::duration_cast<std::chrono::microseconds>(
-                            Now - E.Enqueued)
-                            .count());
-          Pending.push_back(
-              Candidate{E.R.RequestedLanes, E.R.Priority, Waited});
-        }
-        std::vector<Grant> Plan =
-            planGrants(Pending, Free, Policy, kAgingStepMicros, NodeFree);
-        std::vector<size_t> Granted;
-        for (const Grant &G : Plan) {
-          Entry &E = Queue[G.Index];
-          WorkerPool::SessionHandle S = Pool.tryAcquireSessionFor(
-              G.Lanes, E.R.AllowStealing, E.R.Owner, G.Node);
-          if (!S)
-            break; // Raced with another lease; retry on next release.
-          if (E.Immediate)
-            ++St.ImmediateGrants;
-          else
-            ++St.DeferredGrants;
-          if (S->lanes() < E.R.RequestedLanes)
-            ++St.CappedGrants;
-          uint64_t Waited = Pending[G.Index].QueuedMicros;
-          St.TotalQueuedMicros += Waited;
-          noteRemovedLocked(E);
-          Actions.push_back(Action{std::move(E), std::move(S), Waited});
-          Granted.push_back(G.Index);
-        }
-        std::sort(Granted.begin(), Granted.end());
-        for (size_t I = Granted.size(); I-- > 0;)
-          Queue.erase(Queue.begin() +
-                      static_cast<std::ptrdiff_t>(Granted[I]));
-      }
+unsigned Scheduler::widestNodeLocked() const {
+  return static_cast<unsigned>(
+      std::max_element(FreeByNode.begin(), FreeByNode.end()) -
+      FreeByNode.begin());
+}
+
+Scheduler::SessionHandle
+Scheduler::leaseLocked(unsigned MaxLanes, bool AllowStealing,
+                       std::thread::id Owner) {
+  assert(FreeCount > 0 && MaxLanes >= 1 && "leasing with no free worker");
+  assert(Owner != std::thread::id() && "a lease needs an owner thread");
+  unsigned Take = std::min(FreeCount, MaxLanes);
+  unsigned Start = 0;
+  if (!FreeByNode.empty()) {
+    // Best fit: the smallest free node block covering the ask (ties to
+    // the lower node id), leaving bigger blocks intact for wider asks.
+    int Best = -1;
+    for (unsigned N = 0; N != FreeByNode.size(); ++N)
+      if (FreeByNode[N] >= Take &&
+          (Best < 0 || FreeByNode[N] < FreeByNode[Best]))
+        Best = static_cast<int>(N);
+    if (Best >= 0) {
+      Start = static_cast<unsigned>(Best);
+    } else {
+      // No node covers the ask. Trim to the largest free block when it
+      // covers at least half of it -- one-node locality beats raw lane
+      // count there -- else span nodes starting from that block.
+      Start = widestNodeLocked();
+      if (2 * FreeByNode[Start] >= Take)
+        Take = FreeByNode[Start];
     }
   }
+  SessionHandle S(Pool.takeSession(Start), Release{this});
+  auto TakeFrom = [&](unsigned First, unsigned Last) {
+    for (unsigned W = First; W != Last && S->lanes() != Take; ++W) {
+      if (Holder[W] != std::thread::id())
+        continue;
+      Holder[W] = Owner;
+      S->Workers.push_back(W);
+    }
+  };
+  if (FreeByNode.empty()) {
+    // Topology-blind lease: first free workers by index.
+    TakeFrom(0, static_cast<unsigned>(Holder.size()));
+  } else {
+    // Node-contiguous lease: drain Start's free workers first (the
+    // placement lays each node out as one index range), then spill to
+    // whichever node has the most free workers until the ask is covered.
+    for (unsigned Node = Start; S->lanes() != Take;
+         Node = widestNodeLocked()) {
+      unsigned Before = S->lanes();
+      auto [First, Last] = Pool.placement()->workerRangeOfNode(Node);
+      TakeFrom(First, Last);
+      FreeByNode[Node] -= S->lanes() - Before;
+    }
+  }
+  FreeCount -= Take;
+  S->open(AllowStealing);
+  return S;
+}
+
+void Scheduler::release(WorkerSession *S) {
+  Outcome Out;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    for (unsigned W : S->Workers) {
+      assert(Holder[W] != std::thread::id() &&
+             "releasing a worker that was not leased");
+      Holder[W] = std::thread::id();
+      if (!FreeByNode.empty())
+        ++FreeByNode[Pool.nodeOfWorker(W)];
+    }
+    FreeCount += S->lanes();
+    // Parked before the pass, so a grant this release makes can reuse
+    // the session it is releasing.
+    Pool.parkSession(S);
+    grantLocked(/*Fresh=*/0, Out);
+  }
+  deliver(Out);
+}
+
+void Scheduler::grantLocked(uint64_t Fresh, Outcome &Out) {
+  if (Queue.empty())
+    return;
+  const Clock::time_point Now = Clock::now();
+  // Expired entries leave before planning: a request past its deadline
+  // is shed even when lanes just became free for it.
+  if (Overload == OverloadPolicy::DeadlineDrop)
+    sweepExpiredLocked(Now, /*Spare=*/Fresh, Out.Drops);
+  auto QueuedFor = [&](const Entry &E) {
+    return E.Ticket == Fresh ? 0 : microsBetween(E.Enqueued, Now);
+  };
+  // Leases, counts, and hands off one granted entry; the emptied
+  // OnGrant marks it for removal below.
+  auto GrantEntry = [&](Entry &E, unsigned Lanes) {
+    SessionHandle S = leaseLocked(Lanes, E.R.AllowStealing, E.R.Owner);
+    ++(E.Ticket == Fresh ? St.ImmediateGrants : St.DeferredGrants);
+    if (S->lanes() < std::min(E.R.RequestedLanes, Pool.size()))
+      ++St.CappedGrants;
+    uint64_t Waited = QueuedFor(E);
+    St.TotalQueuedMicros += Waited;
+    noteRemovedLocked(E);
+    Handoff H{std::exchange(E.R.OnGrant, nullptr), std::move(S), Waited};
+    if (!Out.First)
+      Out.First.emplace(std::move(H));
+    else
+      Out.Rest.push_back(std::move(H));
+  };
+  // Every round grants at least one request. Another round runs only
+  // when a node trim left workers free while requests are still queued.
+  while (!Queue.empty() && FreeCount > 0) {
+    if (Queue.size() == 1) {
+      // Every LanePolicy grants a sole request min(free, requested), so
+      // skip planGrants and its vectors: the shape of every uncontended
+      // submit() and of the serving steady state.
+      GrantEntry(Queue.front(), Queue.front().R.RequestedLanes);
+    } else {
+      std::vector<Candidate> Pending;
+      Pending.reserve(Queue.size());
+      for (const Entry &E : Queue)
+        Pending.push_back(
+            Candidate{E.R.RequestedLanes, E.R.Priority, QueuedFor(E)});
+      for (const Grant &G :
+           planGrants(Pending, FreeCount, Policy, kAgingStepMicros))
+        GrantEntry(Queue[G.Index], G.Lanes);
+    }
+    std::erase_if(Queue, [](const Entry &E) { return !E.R.OnGrant; });
+  }
+}
+
+void Scheduler::deliver(Outcome &Out) {
   // Every removal makes room below the cap: wake parked Block
   // submitters before running the callbacks.
-  if (Solo || !Actions.empty() || !Drops.empty())
+  if (Out.First || !Out.Drops.empty())
     CapCV.notify_all();
-  for (auto &D : Drops)
+  for (auto &D : Out.Drops)
     D();
-  // Callbacks run with no scheduler or pool lock held: they push chunks
-  // and launch the leased lanes, which take pool-side locks of their own.
-  if (Solo)
-    Solo->E.R.OnGrant(std::move(Solo->Session), Solo->QueuedMicros);
-  for (Action &A : Actions)
-    A.E.R.OnGrant(std::move(A.Session), A.QueuedMicros);
+  // Callbacks run with no scheduler lock held: they push chunks and
+  // launch the leased lanes.
+  if (Out.First)
+    Out.First->OnGrant(std::move(Out.First->Session), Out.First->QueuedMicros);
+  for (Handoff &H : Out.Rest)
+    H.OnGrant(std::move(H.Session), H.QueuedMicros);
 }

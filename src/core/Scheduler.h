@@ -5,23 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Scheduler is a SpiceRuntime's admission queue: every parallel
-/// invocation submitted through SpiceLoop::submit() becomes a lane
-/// Request here, and the scheduler decides which queued invocation the
-/// free lanes go to -- the WorkerPool only leases the lanes it is told
-/// to. Grants happen at two points, both without a dedicated scheduler
-/// thread:
+/// The Scheduler is a SpiceRuntime's admission queue and its lease
+/// ledger: every parallel invocation submitted through SpiceLoop::submit()
+/// becomes a lane Request here, and the scheduler alone records which
+/// pool worker is free and which thread's lease holds it. One mutex
+/// guards the queue and the ledger together. Grants happen at two
+/// points, both without a dedicated scheduler thread:
 ///
-///  * submit(): the new request is enqueued and a grant pass runs
-///    immediately, so an uncontended submission leaves with its session
-///    in hand (the fast path every sole-client invoke() takes).
-///  * WorkerPool release hook: when an invocation returns its lanes, the
-///    releasing thread runs a grant pass over the queue -- the deferred
-///    grant path. The request's OnGrant callback (which pushes the
-///    invocation's chunks and launches the leased lanes) therefore runs
-///    on whichever thread freed the lanes; the granted session is
-///    accounted to the request's Owner, the thread that drives the
-///    future (see WorkerPool::tryAcquireSessionFor).
+///  * submit(): the new request is enqueued and a grant pass runs in the
+///    same critical section, so an uncontended submission leaves with
+///    its session in hand (the fast path every sole-client invoke()
+///    takes).
+///  * Session release: destroying a SessionHandle returns its workers to
+///    the ledger and runs a grant pass over the queue in one critical
+///    section -- the deferred-grant path. The request's OnGrant callback
+///    (which pushes the invocation's chunks and launches the leased
+///    lanes) therefore runs on whichever thread freed the lanes; the
+///    lease is recorded against the request's Owner, the thread that
+///    drives the future.
 ///
 /// Which request wins is LanePolicy (RuntimeConfig::Policy):
 ///
@@ -48,11 +49,17 @@
 /// counted shedding instead of unbounded queue growth; docs/serving.md
 /// is the operator guide.
 ///
+/// Under a multi-node placement (docs/topology.md) every lease is
+/// node-packed against the ledger's exact per-node counts: it comes from
+/// the tightest node block that covers it, is trimmed to the largest
+/// free block when that block covers at least half of it, and spans
+/// nodes only as a last resort. When a trim leaves lanes free while
+/// requests are still queued, the same grant pass plans again.
+///
 /// The policy core is the pure function planGrants(), unit-tested in
 /// isolation (tests/scheduler_test.cpp); the mutexed queue machinery
-/// around it only executes its plan. Lock order: the scheduler mutex is
-/// taken strictly outside the pool mutex; grant callbacks run with
-/// neither held.
+/// around it only executes its plan. Grant and drop callbacks run after
+/// the unlock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +74,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -85,8 +94,9 @@ struct SchedulerStats {
   uint64_t ImmediateGrants = 0;
   /// Requests granted later, by a thread releasing lanes.
   uint64_t DeferredGrants = 0;
-  /// Grants handed fewer lanes than requested (pool contention; under
-  /// FairShare also deliberate splitting).
+  /// Grants handed fewer lanes than min(requested, pool workers): pool
+  /// contention, a FairShare split among queued requests, or a node
+  /// trim. A request wider than the whole pool is not capped by that.
   uint64_t CappedGrants = 0;
   /// Total time granted requests spent queued (deferred grants only;
   /// immediate grants contribute 0 by definition).
@@ -116,6 +126,15 @@ public:
   /// (starvation aging).
   static constexpr uint64_t kAgingStepMicros = 1000;
 
+  /// Deleter of a leased session: returns its workers to the ledger and
+  /// runs a grant pass over the queue (the deferred-grant path), parking
+  /// the session on the pool's freelist for reuse.
+  struct Release {
+    Scheduler *Sched;
+    void operator()(WorkerSession *S) const { Sched->release(S); }
+  };
+  using SessionHandle = std::unique_ptr<WorkerSession, Release>;
+
   /// One queued invocation's lane request.
   struct Request {
     /// Lanes the invocation can use (its launchable chunk count), >= 1.
@@ -125,7 +144,8 @@ public:
     /// LoopOptions::Priority of the submitting loop.
     int Priority = 0;
     /// The thread that will drive the granted session (the submitter);
-    /// leases are accounted to it for self-deadlock diagnostics.
+    /// the ledger records the lease against it for the self-deadlock
+    /// diagnostics.
     std::thread::id Owner;
     /// Invocations this request admits at once (a batch's size); the
     /// queue cap and HighWaterQueueDepth count in this unit.
@@ -134,10 +154,10 @@ public:
     /// LoopOptions::SubmitDeadlineMicros. Only OverloadPolicy::
     /// DeadlineDrop acts on it.
     uint64_t DeadlineMicros = 0;
-    /// Runs exactly once, outside every scheduler/pool mutex, on the
-    /// granting thread (submitter or releaser): receives the leased
-    /// session and the microseconds the request spent queued.
-    std::function<void(WorkerPool::SessionHandle, uint64_t)> OnGrant;
+    /// Runs exactly once, outside the scheduler mutex, on the granting
+    /// thread (submitter or releaser): receives the leased session and
+    /// the microseconds the request spent queued.
+    std::function<void(SessionHandle, uint64_t)> OnGrant;
     /// Runs instead of OnGrant -- outside every lock, on the sweeping
     /// thread -- when the request is deadline-dropped. Optional.
     std::function<void()> OnDrop;
@@ -145,12 +165,12 @@ public:
 
   /// Policy, queue cap, and overload behavior all come from the
   /// runtime's \p Config (see RuntimeConfig).
-  Scheduler(WorkerPool &Pool, const RuntimeConfig &Config)
-      : Pool(Pool), Policy(Config.Policy),
-        RuntimeCap(Config.MaxQueuedInvocations), Overload(Config.Overload) {}
+  /// Every worker of \p Pool starts free.
+  Scheduler(WorkerPool &Pool, const RuntimeConfig &Config);
 
-  /// A scheduler must drain before destruction; SpiceRuntime's
-  /// destructor diagnostics enforce it before this runs.
+  /// A scheduler must drain, and every session must be released, before
+  /// destruction; SpiceRuntime's destructor diagnostics enforce it
+  /// before this runs.
   ~Scheduler();
 
   Scheduler(const Scheduler &) = delete;
@@ -168,22 +188,32 @@ public:
   /// because only its parked stack could ever make room.
   uint64_t submit(Request R);
 
-  /// True while the ticket's request sits in the admission queue. The
-  /// request leaves the queue the moment a grant pass picks it -- before
-  /// its OnGrant callback runs -- so false means granted-or-in-flight.
-  /// Used by the waiters' self-deadlock diagnostic: "still queued while
-  /// the waiting thread holds every lane" is provably stuck, "popped
-  /// but not yet Granted" is a grant mid-flight on another thread.
-  bool isQueued(uint64_t Ticket) const;
+  /// Leases up to \p MaxLanes free workers to \p Owner at once, or
+  /// returns null when none is free. Bypasses the admission queue, which
+  /// holds requests only while no worker is free, so it never overtakes
+  /// one; invocations go through submit(), tests and the lease
+  /// micro-benchmark come here.
+  SessionHandle tryAcquireSessionFor(unsigned MaxLanes, bool AllowStealing,
+                                     std::thread::id Owner);
 
-  /// Deferred-grant entry point, wired to WorkerPool::setReleaseHook.
-  void onLanesFreed();
+  /// True when the ticket's request is still queued and the calling
+  /// thread's leases hold every worker of the pool: a wait for that
+  /// grant is a provable self-deadlock (grants need a free worker, and
+  /// only the waiting thread's stack could free one). One lock covers
+  /// both facts, and a grant leases and dequeues in one critical
+  /// section, so a grant in flight on another thread never reads as
+  /// stuck.
+  bool queuedBehindOwnLeases(uint64_t Ticket) const;
 
   SchedulerStats stats() const;
   unsigned queueDepth() const;
   /// Queued invocations (requests weighted by Request::Invocations) --
   /// the figure the queue cap bounds.
   uint64_t queuedInvocations() const;
+  /// Workers no lease holds (a snapshot).
+  unsigned freeWorkers() const;
+  /// Free workers whose placement node is \p Node (a snapshot).
+  unsigned freeWorkersOnNode(unsigned Node) const;
   LanePolicy policy() const { return Policy; }
   OverloadPolicy overloadPolicy() const { return Overload; }
 
@@ -194,63 +224,80 @@ public:
     uint64_t QueuedMicros;
   };
   /// One planned grant: lane cap for the request at \p Index of the
-  /// candidate (admission-ordered) vector. \p Node is the placement
-  /// node the lanes should come from (the pool's PreferredNode hint),
-  /// or -1 when the plan ran without node information (or the grant
-  /// must span nodes from the pool's choice of start block).
+  /// candidate (admission-ordered) vector.
   struct Grant {
     size_t Index;
     unsigned Lanes;
-    int Node = -1;
   };
 
   /// Pure policy core: splits \p FreeLanes over \p Pending (admission
   /// order) and returns the grants in execution order; requests absent
   /// from the result stay queued. Guarantees sum(Lanes) <= FreeLanes and
   /// 1 <= Lanes <= RequestedLanes per grant.
-  ///
-  /// \p NodeFreeLanes, when non-null with more than one entry, is the
-  /// free-lane count per placement node (summing to FreeLanes) and
-  /// turns on the node-packing post-pass: each planned grant is
-  /// assigned the free node block that fits it most tightly; a grant no
-  /// block covers is trimmed to the largest free block when that block
-  /// covers at least half of it (one-node locality beats raw lane
-  /// count), else it spans nodes starting from the largest block. Lanes
-  /// the trims freed are then re-offered to the candidates the plan
-  /// left queued, in admission order, one node block each -- so packing
-  /// never idles lanes that a queued request could use.
-  static std::vector<Grant>
-  planGrants(const std::vector<Candidate> &Pending, unsigned FreeLanes,
-             LanePolicy Policy, uint64_t AgingStepMicros,
-             const std::vector<unsigned> *NodeFreeLanes = nullptr);
+  static std::vector<Grant> planGrants(const std::vector<Candidate> &Pending,
+                                       unsigned FreeLanes, LanePolicy Policy,
+                                       uint64_t AgingStepMicros);
 
 private:
   struct Entry {
     Request R;
     Clock::time_point Enqueued;
     uint64_t Ticket = 0;
-    /// True until the submit() call that enqueued this entry finishes
-    /// its own grant pass: a grant while set is an immediate grant and
-    /// reports 0 queued time, and the deadline sweep skips it (a
-    /// submission always gets its own grant attempt first).
-    bool Immediate = true;
   };
 
-  /// Plans against the current free-lane count, executes the leases, and
-  /// pops granted entries -- all under the scheduler mutex -- then runs
-  /// the OnGrant callbacks unlocked. Under DeadlineDrop the pass first
-  /// sweeps expired entries.
-  void runGrants();
+  /// A grant decided under the mutex, delivered after the unlock.
+  struct Handoff {
+    std::function<void(SessionHandle, uint64_t)> OnGrant;
+    SessionHandle Session;
+    uint64_t QueuedMicros = 0;
+  };
+  /// Everything a grant pass decided. The first grant is held inline,
+  /// so a pass that grants one request allocates nothing.
+  struct Outcome {
+    std::optional<Handoff> First;
+    std::vector<Handoff> Rest;
+    std::vector<std::function<void()>> Drops;
+  };
+
+  /// The grant pass: sweeps expired entries (DeadlineDrop), then leases
+  /// workers to queued requests while both remain, popping each granted
+  /// entry. The entry with ticket \p Fresh (0 for none) is the one the
+  /// calling submit() just enqueued: its grant is immediate, with 0
+  /// queued time, and the sweep spares it. Requires the mutex.
+  void grantLocked(uint64_t Fresh, Outcome &Out);
+
+  /// Runs a pass's outcome with no lock held: wakes parked Block
+  /// submitters when anything left the queue, then runs the drop and
+  /// grant callbacks.
+  void deliver(Outcome &Out);
+
+  /// Leases min(free, \p MaxLanes) workers to \p Owner, node-packed
+  /// under a multi-node placement (which may trim the lease, see the
+  /// file comment). Requires the mutex and a free worker.
+  SessionHandle leaseLocked(unsigned MaxLanes, bool AllowStealing,
+                            std::thread::id Owner);
+
+  /// Session deleter (Release): returns \p S's workers to the ledger,
+  /// parks it on the pool's freelist, and runs a grant pass.
+  void release(WorkerSession *S);
+
+  /// True when the calling thread's leases hold every worker. Requires
+  /// the mutex.
+  bool callerHoldsEveryWorkerLocked() const;
+
+  /// The node with the most free workers (ties to the lower id).
+  /// Requires the mutex and a multi-node placement.
+  unsigned widestNodeLocked() const;
 
   /// True when admitting \p R now would push the queue past its cap.
   /// Requires the scheduler mutex.
   bool overCapLocked(const Request &R) const;
 
-  /// Removes every non-Immediate entry that has waited past its
+  /// Removes every entry but ticket \p Spare that has waited past its
   /// deadline, updating the queue accounting and DroppedDeadline, and
   /// collects the OnDrop callbacks into \p Drops (run them outside the
   /// mutex). Requires the scheduler mutex.
-  void sweepExpiredLocked(Clock::time_point Now,
+  void sweepExpiredLocked(Clock::time_point Now, uint64_t Spare,
                           std::vector<std::function<void()>> &Drops);
 
   /// Queue-accounting half of removing \p E from the queue (grant or
@@ -268,9 +315,13 @@ private:
   SchedulerStats St;
   /// Queued invocations (Request::Invocations-weighted queue depth).
   uint64_t QueuedInvs = 0;
-  /// Per-node free-lane snapshot for the node-packing plan (guarded by
-  /// M; reused across passes to keep the grant path allocation-free).
-  std::vector<unsigned> NodeFreeScratch;
+  /// The lease ledger: Holder[W] is the thread whose lease holds pool
+  /// worker W (its request's Owner), or a default id while W is free.
+  std::vector<std::thread::id> Holder;
+  unsigned FreeCount = 0;
+  /// Free workers per placement node (multi-node placement only, else
+  /// empty).
+  std::vector<unsigned> FreeByNode;
   /// Blocked submitters (OverloadPolicy::Block) park here until a grant
   /// or drop shrinks the queue below the cap.
   std::condition_variable CapCV;

@@ -560,7 +560,7 @@ private:
       R.Owner = std::this_thread::get_id();
       R.Invocations = static_cast<unsigned>(N);
       R.DeadlineMicros = Opts.SubmitDeadlineMicros;
-      R.OnGrant = [I = Inv.get()](WorkerPool::SessionHandle S,
+      R.OnGrant = [I = Inv.get()](Scheduler::SessionHandle S,
                                   uint64_t Micros) {
         I->onGrant(std::move(S), Micros);
       };
@@ -638,7 +638,7 @@ private:
 
     /// Grant callback (scheduler): lease in hand, start element 0's
     /// speculative chunks, then publish the session to the driver.
-    void onGrant(WorkerPool::SessionHandle S, uint64_t Micros) {
+    void onGrant(Scheduler::SessionHandle S, uint64_t Micros) {
       L.prepareParallel(ActiveChunks, S.get());
       L.launchChunks(*S, ActiveChunks);
       {
@@ -667,24 +667,13 @@ private:
     /// need a free lane, and only this parked thread's stack could free
     /// one): that provable self-deadlock -- a step callback submitting
     /// and waiting on the same runtime, or futures resolved out of
-    /// submission order -- aborts loudly instead of hanging.
-    ///
-    /// The check order is load-bearing. A grant pass leases lanes
-    /// (accounted to this thread, the request's owner) and removes the
-    /// request from the queue in one scheduler-mutex critical section,
-    /// so observing isQueued *after* observing holds-entire-pool is
-    /// conclusive: still queued then means no grant ever started for
-    /// this request, and the held lanes are all from this thread's own
-    /// earlier sessions -- which only its parked stack could release.
-    /// The reverse order would misfire on a grant mid-flight on another
-    /// thread (lanes already charged to us, Phase not yet Granted).
-    /// The diagnostic assumes the submitting thread drives the future
-    /// (leases are accounted to it); see SpiceLoop::submit().
+    /// submission order -- aborts loudly instead of hanging. The
+    /// diagnostic assumes the submitting thread drives the future (the
+    /// ledger records leases against it); see SpiceLoop::submit().
     void awaitGrant() {
       std::unique_lock<std::mutex> Lock(M);
       if (Phase.load(std::memory_order_relaxed) == InvPhase::Queued &&
-          L.RT.pool().callerHoldsEntirePool() &&
-          L.RT.scheduler().isQueued(Ticket))
+          L.RT.scheduler().queuedBehindOwnLeases(Ticket))
         reportFatalError(
             "waiting on a queued SpiceFuture would deadlock: this "
             "thread's sessions lease every worker of the pool, so the "
@@ -779,7 +768,7 @@ private:
     std::vector<LiveIn> Starts; ///< One per element, submission order.
     unsigned ActiveChunks = 0;
     uint64_t Ticket = 0; ///< Admission-queue id (see awaitGrant).
-    WorkerPool::SessionHandle Session;
+    Scheduler::SessionHandle Session;
     uint64_t QueuedMicros = 0;
     std::mutex M;
     std::condition_variable CV;

@@ -69,7 +69,6 @@ public:
              Place),
         Sched(Pool, this->Config) {
     assert(this->Config.NumThreads >= 1 && "need at least one thread");
-    Pool.setReleaseHook([this] { Sched.onLanesFreed(); });
   }
 
   /// Convenience: a runtime with \p NumThreads threads and default
@@ -103,8 +102,9 @@ public:
   /// lanes from it via the scheduler.
   WorkerPool &pool() { return Pool; }
 
-  /// The admission scheduler deciding which queued invocation freed
-  /// lanes go to (RuntimeConfig::Policy).
+  /// The admission scheduler and lease ledger: which worker is free, who
+  /// holds it, and which queued invocation freed lanes go to
+  /// (RuntimeConfig::Policy).
   Scheduler &scheduler() { return Sched; }
 
   /// The worker placement resolved from RuntimeConfig::Topology, or

@@ -16,8 +16,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 
 using namespace spice;
 using namespace spice::core;
@@ -213,8 +211,10 @@ ChunkDeques::StealCounters ChunkDeques::takeStealCounters() {
 // WorkerSession
 //===----------------------------------------------------------------------===//
 
-void WorkerSession::Recycler::operator()(WorkerSession *S) const {
-  S->Pool.recycleSession(S);
+void WorkerSession::open(bool AllowStealing) {
+  Deques.reset(lanes(), AllowStealing);
+  if (Pool.localityActive())
+    Deques.setLocality(*Pool.placement(), Workers);
 }
 
 void WorkerSession::launch(std::function<void(unsigned)> NewJob) {
@@ -225,7 +225,7 @@ void WorkerSession::launch(std::function<void(unsigned)> NewJob) {
   InFlight = true;
   Job = std::move(NewJob);
   Remaining.store(lanes(), std::memory_order_relaxed);
-  // The lease (under the pool mutex) made these slots ours, and each
+  // The lease (under the scheduler mutex) made these slots ours, and each
   // worker has left its previous job, so the plain writes are ordered
   // before the release increment that wakes the worker.
   for (unsigned L = 0; L != Workers.size(); ++L) {
@@ -252,19 +252,15 @@ WorkerPool::WorkerPool(unsigned NumWorkers,
                        std::function<void(unsigned)> StartHook,
                        std::shared_ptr<const topology::Placement> Placement)
     : WorkerStartHook(std::move(StartHook)), Place(std::move(Placement)),
-      Slots(NumWorkers), FreeCount(NumWorkers) {
+      Slots(NumWorkers) {
   assert((!Place || Place->numWorkers() == NumWorkers) &&
          "placement sized for a different pool");
   if (Place && Place->numWorkers() != NumWorkers)
     reportFatalError("WorkerPool placement does not cover the pool's "
                      "workers (placement built for a different size?)");
   if (localityActive()) {
-    // Everything node-aware hangs off these: per-node free counts for
-    // the lease/grant packing, and per-node freelist shards so reused
-    // sessions and warm buffers stay with the node that touched them.
-    FreeByNode.reserve(Place->numNodes());
-    for (unsigned N = 0; N != Place->numNodes(); ++N)
-      FreeByNode.push_back(Place->workersOfNode(N));
+    // Per-node freelist shards, so reused sessions and warm buffers stay
+    // with the node that touched them.
     BufferShards.reserve(Place->numNodes());
     for (unsigned N = 0; N != Place->numNodes(); ++N)
       BufferShards.push_back(std::make_unique<BufferShard>());
@@ -276,8 +272,6 @@ WorkerPool::WorkerPool(unsigned NumWorkers,
 }
 
 WorkerPool::~WorkerPool() {
-  assert(freeWorkers() == Threads.size() &&
-         "destroying a WorkerPool with sessions still leased");
   // Every worker is parked (all sessions waited and released): a wake
   // with no session tells it to exit.
   for (WorkerSlot &Slot : Slots) {
@@ -335,124 +329,8 @@ void WorkerPool::workerMain(unsigned Index) {
   }
 }
 
-WorkerPool::SessionHandle
-WorkerPool::tryAcquireSessionFor(unsigned MaxLanes, bool AllowStealing,
-                                 std::thread::id Owner, int PreferredNode) {
-  assert(!Threads.empty() && "tryAcquireSessionFor on an empty pool");
-  assert(MaxLanes >= 1 && "a session needs at least one lane");
-  SessionHandle S;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (FreeCount == 0)
-      return nullptr;
-    unsigned Take = std::min(FreeCount, MaxLanes);
-    int StartNode = -1;
-    if (localityActive()) {
-      auto [Node, Trimmed] = chooseStartNodeLocked(Take, PreferredNode);
-      StartNode = static_cast<int>(Node);
-      Take = Trimmed;
-    }
-    S = SessionHandle(takeSessionLocked(StartNode < 0 ? 0 : StartNode));
-    leaseLocked(*S, Take, Owner, StartNode);
-  }
-  S->Deques.reset(S->lanes(), AllowStealing);
-  if (localityActive())
-    S->Deques.setLocality(*Place, S->Workers);
-  return S;
-}
-
-std::pair<unsigned, unsigned>
-WorkerPool::chooseStartNodeLocked(unsigned Take, int Preferred) const {
-  assert(localityActive() && "node packing without a multi-node placement");
-  assert(Take >= 1 && Take <= FreeCount);
-  // A scheduler grant's node wins while it still has free lanes; a
-  // racing lease may have shrunk the node since the plan, in which case
-  // the lease spills over from there rather than re-planning.
-  if (Preferred >= 0 && static_cast<size_t>(Preferred) < FreeByNode.size() &&
-      FreeByNode[Preferred] > 0)
-    return {static_cast<unsigned>(Preferred), Take};
-  // Best fit: the smallest free node block covering the ask (ties to
-  // the lower node id), leaving bigger blocks intact for wider asks.
-  int Best = -1;
-  for (unsigned N = 0; N != FreeByNode.size(); ++N)
-    if (FreeByNode[N] >= Take &&
-        (Best < 0 || FreeByNode[N] < FreeByNode[Best]))
-      Best = static_cast<int>(N);
-  if (Best >= 0)
-    return {static_cast<unsigned>(Best), Take};
-  // No node covers the ask. Trim to the largest free block when it
-  // covers at least half of it -- one-node locality beats raw lane
-  // count there -- else span nodes starting from that block.
-  unsigned Big = 0;
-  for (unsigned N = 1; N != FreeByNode.size(); ++N)
-    if (FreeByNode[N] > FreeByNode[Big])
-      Big = N;
-  if (2 * FreeByNode[Big] >= Take)
-    return {Big, FreeByNode[Big]};
-  return {Big, Take};
-}
-
-void WorkerPool::leaseLocked(WorkerSession &S, unsigned Take,
-                             std::thread::id Owner, int StartNode) {
-  assert(Take <= FreeCount && "leasing more workers than are free");
-  S.Workers.reserve(Take);
-  if (StartNode < 0) {
-    // Topology-blind lease: first free workers by index.
-    for (unsigned I = 0; I != Slots.size() && S.Workers.size() != Take;
-         ++I) {
-      if (Slots[I].Leased)
-        continue;
-      Slots[I].Leased = true;
-      S.Workers.push_back(I);
-    }
-  } else {
-    // Node-contiguous lease: drain StartNode's free workers first (the
-    // placement lays each node out as one index range), then spill to
-    // whichever node has the most free lanes until the ask is covered.
-    int Node = FreeByNode[StartNode] > 0 ? StartNode : -1;
-    while (S.Workers.size() != Take) {
-      if (Node < 0) {
-        unsigned Widest = 0;
-        for (unsigned N = 1; N != FreeByNode.size(); ++N)
-          if (FreeByNode[N] > FreeByNode[Widest])
-            Widest = N;
-        Node = static_cast<int>(Widest);
-      }
-      auto [First, Last] = Place->workerRangeOfNode(Node);
-      for (unsigned I = First; I != Last && S.Workers.size() != Take; ++I) {
-        if (Slots[I].Leased)
-          continue;
-        Slots[I].Leased = true;
-        S.Workers.push_back(I);
-        --FreeByNode[Node];
-      }
-      Node = -1;
-    }
-  }
-  FreeCount -= Take;
-  // Owner-keyed (not thread_local) accounting, so a handle destroyed
-  // on a different thread still decrements the owner's tally -- and a
-  // deferred grant executed on a releasing thread is charged to the
-  // session's driver, not the releaser.
-  S.Owner = Owner;
-  WorkersHeldByThread[S.Owner] += Take;
-}
-
-void WorkerPool::setReleaseHook(std::function<void()> Hook) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  assert(FreeCount == Threads.size() &&
-         "setReleaseHook with sessions already leased");
-  ReleaseHook = std::move(Hook);
-}
-
-bool WorkerPool::callerHoldsEntirePool() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto Held = WorkersHeldByThread.find(std::this_thread::get_id());
-  return !Slots.empty() && Held != WorkersHeldByThread.end() &&
-         Held->second == Slots.size();
-}
-
-WorkerSession *WorkerPool::takeSessionLocked(unsigned Shard) {
+WorkerSession *WorkerPool::takeSession(unsigned Shard) {
+  std::lock_guard<std::mutex> Lock(FreelistM);
   // The home shard's sessions ran on this node last -- their deque and
   // job storage is warm there. Any parked session beats an allocation,
   // so fall through the other shards before newing.
@@ -470,53 +348,14 @@ WorkerSession *WorkerPool::takeSessionLocked(unsigned Shard) {
   return new WorkerSession(*this);
 }
 
-void WorkerPool::recycleSession(WorkerSession *S) {
+void WorkerPool::parkSession(WorkerSession *S) {
   assert(!S->InFlight && "recycling a session with a job still in flight");
-  unsigned Released;
-  // The hook object is written once before any session exists and never
-  // reassigned, so the pointer taken under the mutex stays valid after
-  // the unlock (the hook itself must run unlocked: it re-enters the pool
-  // through tryAcquireSessionFor).
-  const std::function<void()> *Hook = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    unsigned Shard = 0;
-    if (localityActive() && !S->Workers.empty())
-      Shard = nodeOfWorker(S->Workers[0]);
-    for (unsigned W : S->Workers) {
-      assert(Slots[W].Leased && "releasing a worker that was not leased");
-      Slots[W].Leased = false;
-      if (localityActive())
-        ++FreeByNode[nodeOfWorker(W)];
-    }
-    Released = static_cast<unsigned>(S->Workers.size());
-    FreeCount += Released;
-    S->Workers.clear();
-    auto It = WorkersHeldByThread.find(S->Owner);
-    assert((Released == 0 ||
-            (It != WorkersHeldByThread.end() && It->second >= Released)) &&
-           "held-worker accounting out of sync");
-    if (It != WorkersHeldByThread.end()) {
-      It->second -= std::min(It->second, Released);
-      if (It->second == 0)
-        WorkersHeldByThread.erase(It);
-    }
-    if (Released > 0 && ReleaseHook)
-      Hook = &ReleaseHook;
-    // Parked before the hook runs, so a deferred grant triggered by this
-    // very release can reuse the session it is releasing.
-    FreeSessionShards[Shard].push_back(S);
-  }
-  // Deferred-grant path: offer the freed lanes to the scheduler's
-  // admission queue. An empty (failed-tryAcquire) release freed nothing
-  // and must not re-enter the scheduler.
-  if (Hook)
-    (*Hook)();
-}
-
-unsigned WorkerPool::freeWorkers() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return FreeCount;
+  unsigned Shard = 0;
+  if (localityActive() && !S->Workers.empty())
+    Shard = nodeOfWorker(S->Workers[0]);
+  S->Workers.clear();
+  std::lock_guard<std::mutex> Lock(FreelistM);
+  FreeSessionShards[Shard].push_back(S);
 }
 
 unsigned WorkerPool::busyWorkers() const {
@@ -526,17 +365,8 @@ unsigned WorkerPool::busyWorkers() const {
   return Busy;
 }
 
-void WorkerPool::freeWorkersByNode(std::vector<unsigned> &Out) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (FreeByNode.empty()) {
-    Out.assign(1, FreeCount);
-    return;
-  }
-  Out.assign(FreeByNode.begin(), FreeByNode.end());
-}
-
 SessionPoolStats WorkerPool::sessionPoolStats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
+  std::lock_guard<std::mutex> Lock(FreelistM);
   return PoolSt;
 }
 

@@ -10,10 +10,11 @@
 /// spawn cost. WorkerPool reproduces that: N persistent threads, each
 /// parked on its own wake word (std::atomic::wait). One pool is shared by
 /// every loop of a SpiceRuntime, so an invocation does not own the threads
-/// -- it *leases* them, through the runtime's Scheduler (core/Scheduler.h):
+/// -- it *leases* them from the runtime's Scheduler (core/Scheduler.h),
+/// which keeps the lease ledger (which worker is free, who holds it) and
+/// hands each grant a WorkerSession from this pool:
 ///
-///   WorkerPool::SessionHandle S =
-///       Pool.tryAcquireSessionFor(MaxLanes, Stealing, Owner);
+///   Scheduler::SessionHandle S = Sched.tryAcquireSessionFor(...);
 ///   for (...) S->pushChunk(Lane, Chunk);
 ///   S->launch([&](unsigned Lane) {
 ///     while (S->acquireChunk(Lane, ...)) ...; // Leave once nothing is left.
@@ -21,15 +22,12 @@
 ///   ... S->helpPopFront(...) / S->pushChunkFront(...) ...
 ///   S->wait();            // Handle destruction returns the lanes.
 ///
-/// tryAcquireSessionFor() partitions the free workers: it hands out up to
-/// MaxLanes of them, so concurrent invocations -- of different loops, from
-/// different client threads -- split the pool instead of serializing on
-/// it. It never blocks: with no free worker it returns null, and the
-/// Scheduler queues the request until a release (setReleaseHook) frees a
-/// lane. Waiting for lanes, and the self-deadlock check that guards the
-/// wait, therefore live in the Scheduler. launch() wakes exactly the
-/// leased workers, one wake word each; wait() spins briefly on the
-/// session's countdown of running lanes and then parks on it.
+/// The pool is the mechanism under the ledger: the threads, their wake
+/// words, the sessions' deques and launch/wait, the placement view, and
+/// the freelists sessions and warm buffers are recycled through. launch()
+/// wakes exactly the leased workers, one wake word each; wait() spins
+/// briefly on the session's countdown of running lanes and then parks on
+/// it.
 ///
 /// Each session owns its own chunk deques (one lane per leased worker): a
 /// worker pops its own lane from the front (oldest, least speculative
@@ -46,15 +44,14 @@
 /// TSan-clean).
 ///
 /// When the pool is built with a multi-node topology::Placement
-/// (docs/topology.md), locality shapes all of this: leases take
-/// node-contiguous worker ranges (packing an invocation onto one node,
-/// with a trim-to-node rule when no node has enough free lanes), steals
-/// scan victims same-core -> same-node -> remote and count their
-/// locality (ChunkDeques::takeStealCounters), and released sessions and
-/// warm SpecWriteBuffers park on per-node freelist shards so a reused
-/// session or buffer is warm in the right node's cache. Without a
-/// placement -- or on a single node -- none of it engages and every
-/// path below is bit-for-bit the topology-blind behavior.
+/// (docs/topology.md), locality shapes all of this: the Scheduler leases
+/// node-contiguous worker ranges, steals scan victims same-core ->
+/// same-node -> remote and count their locality
+/// (ChunkDeques::takeStealCounters), and released sessions and warm
+/// SpecWriteBuffers park on per-node freelist shards so a reused session
+/// or buffer is warm in the right node's cache. Without a placement -- or
+/// on a single node -- none of it engages and every path below is
+/// bit-for-bit the topology-blind behavior.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +68,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace spice {
@@ -176,21 +172,14 @@ private:
 
 } // namespace detail
 
-/// A lease of worker lanes for one invocation: up to MaxLanes workers,
-/// partitioned off the shared pool, plus this invocation's private chunk
-/// deques. Created by WorkerPool::tryAcquireSessionFor(); destroying the
-/// handle returns the workers to the pool. One client thread drives a
-/// session (push/launch/help/close/wait); the leased workers run its job.
+/// A lease of worker lanes for one invocation: the workers the Scheduler
+/// granted it, plus this invocation's private chunk deques. Handed out as
+/// a Scheduler::SessionHandle, whose destruction returns the workers to
+/// the Scheduler's ledger and parks the session on the pool's freelist
+/// for reuse. One client thread drives a session
+/// (push/launch/help/close/wait); the leased workers run its job.
 class WorkerSession {
 public:
-  /// SessionHandle deleter: returns the lanes and parks the session
-  /// object on the pool's freelist for reuse (its deques keep their lane
-  /// allocations), instead of destroying it. The pool deletes parked
-  /// sessions at teardown.
-  struct Recycler {
-    void operator()(WorkerSession *S) const;
-  };
-
   ~WorkerSession() {
     assert(!InFlight && "destroying a session with a job still in flight");
   }
@@ -215,7 +204,7 @@ public:
   void wait();
 
   /// This session's chunk deques (see ChunkDeques; one lane per leased
-  /// worker, reset empty by tryAcquireSessionFor).
+  /// worker, reset empty by open()).
   void pushChunk(unsigned Lane, uint32_t Chunk) { Deques.push(Lane, Chunk); }
   void pushChunkFront(unsigned Lane, uint32_t Chunk) {
     Deques.pushFront(Lane, Chunk);
@@ -237,12 +226,16 @@ public:
 
 private:
   friend class WorkerPool;
+  friend class Scheduler;
   explicit WorkerSession(WorkerPool &Pool) : Pool(Pool) {}
+
+  /// Readies a freshly leased session: one empty deque per leased
+  /// worker, with locality-ordered steals under a multi-node placement.
+  void open(bool AllowStealing);
 
   WorkerPool &Pool;
   std::vector<unsigned> Workers; ///< Leased worker indices; lane i runs
                                  ///< on worker Workers[i].
-  std::thread::id Owner;         ///< Thread that acquired the lease.
   detail::ChunkDeques Deques;
   /// The launched job, stored once per session (not copied per slot).
   /// Written by launch() before the wake-word increments that publish
@@ -267,7 +260,7 @@ struct SessionPoolStats {
 };
 
 /// Persistent pool of worker threads shared by every loop of a runtime.
-/// Invocations lease lanes through sessions.
+/// Invocations lease lanes through sessions the Scheduler grants.
 class WorkerPool {
 public:
   /// Spawns \p NumWorkers threads; they park immediately. \p
@@ -308,63 +301,17 @@ public:
   /// placement with more than one node.
   bool localityActive() const { return Place && Place->numNodes() > 1; }
 
-  /// Snapshot of free (unleased) workers per node into \p Out (sized
-  /// numNodes()). The Scheduler's node-packing pass reads this; like
-  /// freeWorkers() it is racy by nature.
-  void freeWorkersByNode(std::vector<unsigned> &Out) const;
-
   //===--------------------------------------------------------------------===//
-  // Sessions: leased worker lanes for concurrent invocations.
+  // Sessions: worker lanes for concurrent invocations.
   //===--------------------------------------------------------------------===//
 
-  using SessionHandle =
-      std::unique_ptr<WorkerSession, WorkerSession::Recycler>;
-
-  /// Leases min(free workers, MaxLanes) workers as a session, or returns
-  /// null when no worker is free (the Scheduler then queues the request
-  /// for a deferred grant). The session's deques are reset open with one
-  /// lane per leased worker. Requires a non-empty pool and MaxLanes >= 1.
-  /// Destroying the handle returns the lanes. Under a multi-node
-  /// placement the lease is node-packed: it comes from one node when a
-  /// node has enough free lanes, is trimmed to the largest free node
-  /// block when that block covers at least half the ask, and spans
-  /// nodes only as a last resort.
-  ///
-  /// The lease is accounted to \p Owner -- the thread that will *drive*
-  /// the session -- rather than the calling thread, because a deferred
-  /// grant executes on whichever thread released the lanes (see
-  /// core/Scheduler.h). Self-deadlock diagnostics and the pool's
-  /// held-lane bookkeeping key off that owner. \p PreferredNode is the
-  /// Scheduler's node-packing hint (Grant::Node): the lease starts on
-  /// that node when it still has free lanes; -1 lets the pool pick.
-  SessionHandle tryAcquireSessionFor(unsigned MaxLanes, bool AllowStealing,
-                                     std::thread::id Owner,
-                                     int PreferredNode = -1);
-
-  /// Hook invoked (outside the pool mutex) after every session release:
-  /// the deferred-grant path. The runtime's Scheduler registers itself
-  /// here so freed lanes are offered to queued invocations. Must be set
-  /// before any session exists and never reassigned afterwards.
-  void setReleaseHook(std::function<void()> Hook);
-
-  /// True when the calling thread's sessions lease *every* worker of the
-  /// pool: any further blocking acquisition by this thread would be a
-  /// certain self-deadlock (only its own stack could free a lane, and it
-  /// is about to park). Used by the scheduler's wait path; always false
-  /// for an empty pool.
-  bool callerHoldsEntirePool() const;
-
-  /// Workers currently not leased to any session (snapshot; racy by
-  /// nature, exposed for tests and diagnostics).
-  unsigned freeWorkers() const;
-
-  /// Workers woken by a launch that have not yet left its job (same
-  /// snapshot caveat). A leased lane that has run out of chunks is not
-  /// busy: it has left, even though its session still holds it.
+  /// Workers woken by a launch that have not yet left its job (a
+  /// snapshot, racy by nature). A leased lane that has run out of chunks
+  /// is not busy: it has left, even though its session still holds it.
   unsigned busyWorkers() const;
 
   /// Session-freelist counters (see SessionPoolStats). Snapshot under
-  /// the pool mutex.
+  /// the freelist mutex.
   SessionPoolStats sessionPoolStats() const;
 
   //===--------------------------------------------------------------------===//
@@ -389,54 +336,33 @@ public:
 
 private:
   friend class WorkerSession;
+  friend class Scheduler;
 
   void workerMain(unsigned Index);
 
-  /// Handle-destruction path (WorkerSession::Recycler): returns the
-  /// leased lanes, runs the release hook, and parks \p S on the
-  /// freelist shard of its first worker's node for reuse instead of
-  /// deleting it.
-  void recycleSession(WorkerSession *S);
+  /// Pops a parked session -- node \p Shard's freelist first, then the
+  /// other shards -- or allocates a fresh one, bumping the
+  /// SessionPoolStats counters. The Scheduler fills in its workers.
+  WorkerSession *takeSession(unsigned Shard);
 
-  /// Pops a parked session -- \p Shard's freelist first, then the other
-  /// shards -- or allocates a fresh one, bumping the SessionPoolStats
-  /// counters. Requires the pool mutex.
-  WorkerSession *takeSessionLocked(unsigned Shard);
-
-  /// Node-packing decision for a lease of \p Take lanes (locality
-  /// active, pool mutex held): the node to start taking workers from,
-  /// and the possibly-trimmed lane count. \p Preferred (a scheduler
-  /// grant's node, -1 for none) wins while it has free lanes; otherwise
-  /// best-fit (the smallest free block that covers Take), then the
-  /// trim-to-node rule: when no node covers Take but the largest free
-  /// block covers at least half of it, the lease shrinks to that block
-  /// rather than spanning nodes.
-  std::pair<unsigned, unsigned> chooseStartNodeLocked(unsigned Take,
-                                                      int Preferred) const;
-
-  /// Leases \p Take free workers into \p S on behalf of \p Owner.
-  /// Requires the pool mutex and Take <= FreeCount. \p StartNode (-1
-  /// without locality) is where the node-contiguous scan begins;
-  /// spill-over continues through the remaining nodes by descending
-  /// free count.
-  void leaseLocked(WorkerSession &S, unsigned Take, std::thread::id Owner,
-                   int StartNode);
+  /// Parks released session \p S (its workers already returned to the
+  /// Scheduler's ledger) on the freelist shard of its first worker's
+  /// node, keeping its deque and job storage for the next lease.
+  void parkSession(WorkerSession *S);
 
   /// Per-worker mailbox, one cache line each. Wake is the worker's wake
   /// word: even while it is parked, odd from a launch() until it leaves
   /// the job (launch and worker each add one). Session and Lane are
   /// written by launch() before its increment publishes them; a wake
-  /// with no Session is the destructor's stop signal. Leased is
-  /// guarded by Mutex.
+  /// with no Session is the destructor's stop signal.
   struct alignas(64) WorkerSlot {
     std::atomic<uint32_t> Wake{0};
     WorkerSession *Session = nullptr;
     unsigned Lane = 0;
-    bool Leased = false;
   };
 
   /// One node's warm-buffer freelist (multi-node placement only). Own
-  /// mutex: buffer draws must not contend with the lease path.
+  /// mutex: buffer draws must not contend with the session freelist.
   struct BufferShard {
     std::mutex M;
     std::vector<SpecWriteBuffer *> Free;
@@ -445,24 +371,15 @@ private:
   std::vector<std::thread> Threads;
   std::function<void(unsigned)> WorkerStartHook;
   std::shared_ptr<const topology::Placement> Place;
-  /// Deferred-grant hook (see setReleaseHook). Written once before any
-  /// session exists; read under the pool mutex, invoked outside it.
-  std::function<void()> ReleaseHook;
-
-  mutable std::mutex Mutex;
   std::vector<WorkerSlot> Slots;
-  unsigned FreeCount = 0;
-  /// Free workers per placement node (guarded by Mutex; maintained only
-  /// while localityActive(), else empty).
-  std::vector<unsigned> FreeByNode;
-  /// Leased workers per acquiring thread (callerHoldsEntirePool; keyed
-  /// by the session's owner, guarded by Mutex).
-  std::unordered_map<std::thread::id, unsigned> WorkersHeldByThread;
+
+  /// Guards the session freelist and its counters, nothing else.
+  mutable std::mutex FreelistM;
   /// Released sessions parked for reuse, sharded by the node of the
-  /// session's first worker -- one shard without locality (guarded by
-  /// Mutex; deleted in the pool destructor). Reusing a session reuses
-  /// its ChunkDeques lanes and job storage, so the steady-state submit
-  /// path allocates no session state at all.
+  /// session's first worker -- one shard without locality (deleted in
+  /// the pool destructor). Reusing a session reuses its ChunkDeques
+  /// lanes and job storage, so the steady-state submit path allocates no
+  /// session state at all.
   std::vector<std::vector<WorkerSession *>> FreeSessionShards;
   SessionPoolStats PoolSt;
   /// Per-node warm SpecWriteBuffer freelists (empty without a

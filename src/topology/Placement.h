@@ -9,13 +9,11 @@
 /// worker count, Placement assigns every pool worker a home node and a
 /// cpu slot, and answers the locality questions the runtime asks:
 ///
-///  * WorkerPool leases lanes node-contiguously and keeps per-node
-///    session/SpecWriteBuffer freelist shards (nodeOfWorker,
-///    workerRangeOfNode).
+///  * The Scheduler's lease ledger packs each lease onto one node and
+///    leases node-contiguously (nodeOfWorker, workerRangeOfNode);
+///    WorkerPool keeps per-node session/SpecWriteBuffer freelist shards.
 ///  * ChunkDeques orders steal victims same-core -> same-node -> remote
 ///    (victimOrder).
-///  * Scheduler::planGrants packs a loop's grant onto one node
-///    (the per-node free-lane counts WorkerPool maintains).
 ///  * SpiceRuntime composes workerStartHook() in front of the user's
 ///    RuntimeConfig::WorkerStartHook to pin workers -- on real
 ///    (discovered) topologies only; synthetic ones never pin.

@@ -7,7 +7,9 @@
 // The asynchronous submission surface (SpiceLoop::submit / SpiceFuture)
 // and the cross-loop lane Scheduler behind it: the pure planGrants policy
 // core (first-come, fair-share splitting, priority with starvation
-// aging), submit().get() equivalence with invoke(), exception
+// aging), the lease ledger's grant pass (lanes a node trim frees reach a
+// queued request in the same pass), submit().get() equivalence with
+// invoke(), exception
 // propagation through futures, fair-share liveness under client
 // contention (run under TSan in CI), and the loud-failure diagnostics
 // (submit-then-destroy-runtime, nested submission self-deadlock,
@@ -30,6 +32,9 @@
 #include "core/SpiceFuture.h"
 #include "core/SpiceLoop.h"
 #include "core/SpiceRuntime.h"
+#include "core/WorkerPool.h"
+#include "topology/Placement.h"
+#include "topology/Topology.h"
 #include "workloads/Otter.h"
 
 #include <gtest/gtest.h>
@@ -178,6 +183,93 @@ TEST(PlanGrants, NoLanesOrNoRequestsPlansNothing) {
 }
 
 //===----------------------------------------------------------------------===//
+// The lease ledger's grant pass
+//===----------------------------------------------------------------------===//
+
+TEST(LeaseLedger, TrimFreedLanesReachAQueuedRequestInTheSamePass) {
+  // Nodes {2, 2, 1}: one lease of all 5 workers must span (no block
+  // covers half of it), so its release frees lanes on every node at
+  // once. FairShare plans R1 (8 lanes) 3 lanes and R2, R3 one each, and
+  // leaves R4 queued; the lease trims R1 to node 0's block of 2, and the
+  // lane that frees reaches R4 in the same pass.
+  using namespace spice::topology;
+  auto Place = makePlacement(
+      PlacementConfig::overrideWith(Topology::fromNodeSizes({2, 2, 1})), 5);
+  WorkerPool Pool(5, {}, Place);
+  RuntimeConfig C;
+  C.Policy = LanePolicy::FairShare;
+  Scheduler Sched(Pool, C);
+  const std::thread::id Me = std::this_thread::get_id();
+  std::vector<Scheduler::SessionHandle> Granted(4);
+  Scheduler::SessionHandle Hold = Sched.tryAcquireSessionFor(5, true, Me);
+  ASSERT_EQ(Hold->lanes(), 5u) << "the holding lease spans every node";
+
+  for (unsigned I = 0; I != 4; ++I) {
+    Scheduler::Request R;
+    R.RequestedLanes = I == 0 ? 8 : 1;
+    R.Owner = Me;
+    R.OnGrant = [&Granted, I](Scheduler::SessionHandle S, uint64_t) {
+      Granted[I] = std::move(S);
+    };
+    ASSERT_NE(Sched.submit(std::move(R)), 0u);
+  }
+  EXPECT_EQ(Sched.queueDepth(), 4u) << "no lane was free to grant";
+
+  Hold.reset(); // The release runs one grant pass.
+  ASSERT_EQ(Sched.queueDepth(), 0u) << "that pass granted every request";
+  EXPECT_EQ(Granted[0]->lanes(), 2u) << "trimmed to node 0's block";
+  EXPECT_EQ(Granted[0]->laneNode(0), 0u);
+  EXPECT_EQ(Granted[0]->laneNode(1), 0u);
+  EXPECT_EQ(Granted[1]->laneNode(0), 2u) << "best fit: the 1-lane node";
+  EXPECT_EQ(Granted[2]->laneNode(0), 1u);
+  EXPECT_EQ(Granted[3]->lanes(), 1u);
+  EXPECT_EQ(Granted[3]->laneNode(0), 1u)
+      << "the lane the trim freed must not idle while R4 waits";
+  EXPECT_EQ(Sched.freeWorkers(), 0u);
+
+  SchedulerStats S = Sched.stats();
+  EXPECT_EQ(S.Submitted, 4u);
+  EXPECT_EQ(S.ImmediateGrants, 0u);
+  EXPECT_EQ(S.DeferredGrants, 4u);
+  EXPECT_EQ(S.CappedGrants, 1u) << "only R1 got fewer than min(8, 5)";
+  test::checkStatsInvariants(S);
+  Granted.clear();
+  EXPECT_EQ(Sched.freeWorkers(), 5u);
+}
+
+TEST(LeaseLedger, CappedGrantsCountContentionNotRequestWidth) {
+  // A k = 2 loop asks one lane per speculative chunk, more than a small
+  // pool has: on an idle pool that grant is not capped. It is capped
+  // once another lease holds a lane it could have had.
+  WorkerPool Pool(3);
+  Scheduler Sched(Pool, RuntimeConfig{});
+  const std::thread::id Me = std::this_thread::get_id();
+  Scheduler::SessionHandle Got;
+  auto Wide = [&] {
+    Scheduler::Request R;
+    R.RequestedLanes = 7;
+    R.Owner = Me;
+    R.OnGrant = [&Got](Scheduler::SessionHandle S, uint64_t) {
+      Got = std::move(S);
+    };
+    return R;
+  };
+  ASSERT_NE(Sched.submit(Wide()), 0u);
+  ASSERT_NE(Got, nullptr);
+  EXPECT_EQ(Got->lanes(), 3u);
+  EXPECT_EQ(Sched.stats().CappedGrants, 0u) << "the whole pool is no cap";
+  Got.reset();
+
+  Scheduler::SessionHandle Other = Sched.tryAcquireSessionFor(1, true, Me);
+  ASSERT_NE(Sched.submit(Wide()), 0u);
+  ASSERT_NE(Got, nullptr);
+  EXPECT_EQ(Got->lanes(), 2u);
+  EXPECT_EQ(Sched.stats().CappedGrants, 1u) << "a held lane is contention";
+  Got.reset();
+  test::checkStatsInvariants(Sched.stats());
+}
+
+//===----------------------------------------------------------------------===//
 // SpiceFuture: submission semantics
 //===----------------------------------------------------------------------===//
 
@@ -236,7 +328,7 @@ TEST(SubmitFuture, AbandonedFutureCompletesTheInvocation) {
   // The destructor drove the invocation: the handle is reusable and the
   // pool quiescent.
   EXPECT_EQ(Loop.stats().Invocations, 1u);
-  EXPECT_EQ(RT.pool().freeWorkers(), 3u);
+  EXPECT_EQ(RT.scheduler().freeWorkers(), 3u);
   EXPECT_EQ(Loop.invoke(0).Sum, T.expected());
 }
 
@@ -268,7 +360,7 @@ TEST(SubmitFuture, ThrowingStepSurfacesThroughGet) {
   F.wait(); // Drives chunk 0 into the throw; absorbs it.
   EXPECT_TRUE(F.ready());
   EXPECT_THROW(F.get(), std::runtime_error);
-  EXPECT_EQ(RT.pool().freeWorkers(), 3u)
+  EXPECT_EQ(RT.scheduler().freeWorkers(), 3u)
       << "the unwound invocation must release its leased lanes";
   Armed = false;
   EXPECT_EQ(Sum.submit(0).get(), Want)
@@ -304,6 +396,7 @@ TEST(SubmitFuture, TwoLoopsOverlapFromOneClientThread) {
   EXPECT_GE(S.DeferredGrants, 5u);
   EXPECT_GE(S.ImmediateGrants, 5u);
   EXPECT_EQ(S.TotalQueuedMicros, LoopB.stats().QueuedMicros);
+  test::checkStatsInvariants(S);
 }
 
 //===----------------------------------------------------------------------===//
@@ -443,7 +536,7 @@ TEST(BatchFuture, AbandonedBatchReleasesItsLeaseExactlyOnce) {
   std::vector<int64_t> Starts(4, 0);
   { SpiceBatchFuture<CountTraits::State> F = Loop.submitBatch(Starts); }
   EXPECT_EQ(Loop.stats().Invocations, 5u);
-  EXPECT_EQ(RT.pool().freeWorkers(), 3u)
+  EXPECT_EQ(RT.scheduler().freeWorkers(), 3u)
       << "the abandoned batch must return its leased lanes";
   EXPECT_EQ(Loop.invoke(0).Sum, T.expected())
       << "handle must stay usable after the abandonment";
@@ -479,7 +572,7 @@ TEST(BatchFuture, ElementExceptionDoesNotShedTheRestOfTheBatch) {
   EXPECT_EQ(F.get(2), Want)
       << "an element after the throwing one must still have executed";
   F = SpiceBatchFuture<uint64_t>(); // Consume leftovers via abandon.
-  EXPECT_EQ(RT.pool().freeWorkers(), 3u)
+  EXPECT_EQ(RT.scheduler().freeWorkers(), 3u)
       << "the unwound element must not leak the batch's lane lease";
 
   // take() surfaces the first stored exception after the whole batch ran.
@@ -521,7 +614,7 @@ TEST(Overload, RejectShedsSubmissionsPastTheRuntimeCap) {
   EXPECT_EQ(S.DroppedDeadline, 0u);
   EXPECT_EQ(S.Submitted, 2u) << "a rejected submission is never admitted";
   EXPECT_EQ(S.HighWaterQueueDepth, 1u) << "the cap bounded the queue";
-  EXPECT_EQ(RT.pool().freeWorkers(), 1u);
+  EXPECT_EQ(RT.scheduler().freeWorkers(), 1u);
   test::checkStatsInvariants(S);
 }
 
@@ -552,7 +645,7 @@ TEST(Overload, DeadlineDropShedsARequestThatOutwaitedItsDeadline) {
   EXPECT_EQ(S.RejectedSubmissions, 0u);
   EXPECT_EQ(S.Submitted, 2u) << "dropped requests were admitted first";
   EXPECT_EQ(S.DeferredGrants, 0u) << "B must never have been granted";
-  EXPECT_EQ(RT.pool().freeWorkers(), 1u);
+  EXPECT_EQ(RT.scheduler().freeWorkers(), 1u);
   test::checkStatsInvariants(S);
 }
 

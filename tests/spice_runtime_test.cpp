@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The SpiceRuntime API: one shared WorkerPool serving many loops, worker
-// lane leasing (WorkerPool sessions), concurrent invocations from
-// different client threads (run under TSan in CI), the paper-protocol
-// stats of a sole loop pinned to golden values, and the LoopBuilder
-// lambda front-end.
+// lane leasing (sessions from the Scheduler's ledger), concurrent
+// invocations from different client threads (run under TSan in CI), the
+// paper-protocol stats of a sole loop pinned to golden values, and the
+// LoopBuilder lambda front-end.
 //
 //===----------------------------------------------------------------------===//
 
 #include "StatsIdentities.h"
 #include "core/LoopBuilder.h"
+#include "core/Scheduler.h"
 #include "core/SpiceLoop.h"
 #include "core/SpiceRuntime.h"
 #include "workloads/Mcf.h"
@@ -36,37 +37,40 @@ using namespace spice::core;
 using namespace spice::workloads;
 
 //===----------------------------------------------------------------------===//
-// WorkerPool sessions: lane leasing
+// Worker sessions: lane leasing
 //===----------------------------------------------------------------------===//
 
 TEST(WorkerSession, LeasesUpToMaxLanesAndReturnsThem) {
   WorkerPool Pool(4);
-  EXPECT_EQ(Pool.freeWorkers(), 4u);
+  Scheduler Sched(Pool, RuntimeConfig{});
+  EXPECT_EQ(Sched.freeWorkers(), 4u);
   {
-    WorkerPool::SessionHandle S =
-        Pool.tryAcquireSessionFor(3, true, std::this_thread::get_id());
+    Scheduler::SessionHandle S =
+        Sched.tryAcquireSessionFor(3, true, std::this_thread::get_id());
     EXPECT_EQ(S->lanes(), 3u);
-    EXPECT_EQ(Pool.freeWorkers(), 1u);
+    EXPECT_EQ(Sched.freeWorkers(), 1u);
   }
-  EXPECT_EQ(Pool.freeWorkers(), 4u) << "handle destruction releases lanes";
+  EXPECT_EQ(Sched.freeWorkers(), 4u) << "handle destruction releases lanes";
 }
 
 TEST(WorkerSession, ConcurrentSessionsPartitionThePool) {
   WorkerPool Pool(4);
+  Scheduler Sched(Pool, RuntimeConfig{});
   const std::thread::id Me = std::this_thread::get_id();
-  WorkerPool::SessionHandle A = Pool.tryAcquireSessionFor(3, true, Me);
-  WorkerPool::SessionHandle B = Pool.tryAcquireSessionFor(3, true, Me);
+  Scheduler::SessionHandle A = Sched.tryAcquireSessionFor(3, true, Me);
+  Scheduler::SessionHandle B = Sched.tryAcquireSessionFor(3, true, Me);
   EXPECT_EQ(A->lanes(), 3u);
   EXPECT_EQ(B->lanes(), 1u) << "second session gets what is left";
-  EXPECT_EQ(Pool.freeWorkers(), 0u);
-  EXPECT_EQ(Pool.tryAcquireSessionFor(1, true, Me), nullptr)
+  EXPECT_EQ(Sched.freeWorkers(), 0u);
+  EXPECT_EQ(Sched.tryAcquireSessionFor(1, true, Me), nullptr)
       << "an exhausted pool leases nothing and does not block";
 }
 
 TEST(WorkerSession, RunsJobOncePerLaneWithSessionQueues) {
   WorkerPool Pool(3);
-  WorkerPool::SessionHandle S =
-      Pool.tryAcquireSessionFor(3, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  Scheduler::SessionHandle S =
+      Sched.tryAcquireSessionFor(3, true, std::this_thread::get_id());
   std::vector<std::atomic<int>> Hits(30);
   for (uint32_t C = 0; C != 30; ++C)
     S->pushChunk(C % 3, C);
@@ -84,9 +88,10 @@ TEST(WorkerSession, RunsJobOncePerLaneWithSessionQueues) {
 
 TEST(WorkerSession, TwoSessionsRunJobsConcurrently) {
   WorkerPool Pool(2);
+  Scheduler Sched(Pool, RuntimeConfig{});
   const std::thread::id Me = std::this_thread::get_id();
-  WorkerPool::SessionHandle A = Pool.tryAcquireSessionFor(1, false, Me);
-  WorkerPool::SessionHandle B = Pool.tryAcquireSessionFor(1, false, Me);
+  Scheduler::SessionHandle A = Sched.tryAcquireSessionFor(1, false, Me);
+  Scheduler::SessionHandle B = Sched.tryAcquireSessionFor(1, false, Me);
   // Rendezvous across sessions: each job waits (bounded) for the other,
   // which only terminates if both sessions really run at the same time.
   std::atomic<int> Arrived{0};
@@ -401,7 +406,7 @@ TEST(SpiceRuntime, SubmitStormFromTwoClientsOnTwoWorkers) {
   EXPECT_EQ(A.stats().Invocations + B.stats().Invocations, 2u * PerClient);
   EXPECT_GT(A.stats().LaunchedSpecThreads, 0u) << "the storm ran parallel";
   EXPECT_EQ(RT.pool().busyWorkers(), 0u);
-  EXPECT_EQ(RT.pool().freeWorkers(), 2u);
+  EXPECT_EQ(RT.scheduler().freeWorkers(), 2u);
   test::checkStatsInvariants(A.stats());
   test::checkStatsInvariants(B.stats());
   test::checkStatsInvariants(RT.schedulerStats());
@@ -630,7 +635,7 @@ TEST(LoopBuilder, ThrowingStepDoesNotPoisonThePoolOrTheHandle) {
   EXPECT_EQ(Sum.invoke(0), Want); // Bootstrap (sequential).
   Armed = true;                   // Chunk 0 of the next invocation throws.
   EXPECT_THROW(Sum.invoke(0), std::runtime_error);
-  EXPECT_EQ(RT.pool().freeWorkers(), 3u)
+  EXPECT_EQ(RT.scheduler().freeWorkers(), 3u)
       << "the unwound invocation must release its leased lanes";
   Armed = false;
   EXPECT_EQ(Sum.invoke(0), Want) << "handle must stay usable after the "

@@ -9,9 +9,9 @@
 // NUMA hardware needed): topology parsing, proportional worker
 // assignment on symmetric (2x8) and asymmetric (12,4) layouts, the
 // same-core -> same-node -> remote steal-victim order, node-packed
-// session leases (including the trim-to-node and span-as-last-resort
-// rules), the Scheduler::planGrants node-packing post-pass, the
-// per-node steal counters, and -- the degradation guarantee -- that a
+// session leases from the Scheduler's ledger (including the
+// trim-to-node and span-as-last-resort rules), the per-node steal
+// counters, and -- the degradation guarantee -- that a
 // single-node override leaves the full loop protocol's stats
 // bit-for-bit identical to running with topology off. Runs under TSan
 // in CI.
@@ -212,6 +212,14 @@ std::shared_ptr<const Placement> fakePlacement(std::vector<unsigned> Nodes,
       PlacementConfig::overrideWith(Topology::fromNodeSizes(Nodes)), Workers);
 }
 
+/// Free workers per node, as the scheduler's ledger counts them.
+std::vector<unsigned> freeByNode(const Scheduler &Sched, unsigned Nodes) {
+  std::vector<unsigned> Free;
+  for (unsigned N = 0; N != Nodes; ++N)
+    Free.push_back(Sched.freeWorkersOnNode(N));
+  return Free;
+}
+
 /// Nodes of a session's lanes, in lane order.
 std::vector<unsigned> laneNodes(WorkerSession &S) {
   std::vector<unsigned> N;
@@ -225,8 +233,9 @@ std::vector<unsigned> laneNodes(WorkerSession &S) {
 TEST(NodePackedLeases, FittingLeaseStaysOnOneNode) {
   auto P = fakePlacement({4, 4}, 8);
   WorkerPool Pool(8, {}, P);
+  Scheduler Sched(Pool, RuntimeConfig{});
   ASSERT_TRUE(Pool.localityActive());
-  auto S = Pool.tryAcquireSessionFor(4, true, std::this_thread::get_id());
+  auto S = Sched.tryAcquireSessionFor(4, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 4u);
   std::vector<unsigned> Nodes = laneNodes(*S);
   for (unsigned N : Nodes)
@@ -238,7 +247,8 @@ TEST(NodePackedLeases, OversizedLeaseIsTrimmedToTheLargestBlock) {
   // locality beats raw lane count when the block covers half the ask.
   auto P = fakePlacement({4, 4}, 8);
   WorkerPool Pool(8, {}, P);
-  auto S = Pool.tryAcquireSessionFor(8, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(8, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 4u) << "trimmed to one node's block";
   std::vector<unsigned> Nodes = laneNodes(*S);
   for (unsigned N : Nodes)
@@ -250,15 +260,17 @@ TEST(NodePackedLeases, TinyBlocksForceASpanningLease) {
   // spans all nodes rather than starving the invocation.
   auto P = fakePlacement({1, 1, 1}, 3);
   WorkerPool Pool(3, {}, P);
-  auto S = Pool.tryAcquireSessionFor(3, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(3, true, std::this_thread::get_id());
   EXPECT_EQ(S->lanes(), 3u);
 }
 
 TEST(NodePackedLeases, SecondLeaseTakesTheOtherNode) {
   auto P = fakePlacement({2, 2}, 4);
   WorkerPool Pool(4, {}, P);
-  auto A = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
-  auto B = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto A = Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  auto B = Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   ASSERT_EQ(A->lanes(), 2u);
   ASSERT_EQ(B->lanes(), 2u);
   EXPECT_NE(A->laneNode(0), B->laneNode(0))
@@ -268,17 +280,17 @@ TEST(NodePackedLeases, SecondLeaseTakesTheOtherNode) {
 TEST(NodePackedLeases, FreeWorkersByNodeTracksLeases) {
   auto P = fakePlacement({2, 2}, 4);
   WorkerPool Pool(4, {}, P);
-  std::vector<unsigned> Free;
-  Pool.freeWorkersByNode(Free);
+  Scheduler Sched(Pool, RuntimeConfig{});
+  std::vector<unsigned> Free = freeByNode(Sched, 2);
   EXPECT_EQ(Free, (std::vector<unsigned>{2, 2}));
   {
-    auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
-    Pool.freeWorkersByNode(Free);
+    auto S = Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+    Free = freeByNode(Sched, 2);
     unsigned Node = S->laneNode(0);
     EXPECT_EQ(Free[Node], 0u);
     EXPECT_EQ(Free[1 - Node], 2u);
   }
-  Pool.freeWorkersByNode(Free);
+  Free = freeByNode(Sched, 2);
   EXPECT_EQ(Free, (std::vector<unsigned>{2, 2})) << "release restores";
 }
 
@@ -290,7 +302,8 @@ TEST(StealCounters, CrossNodeStealCountsAsRemote) {
   // Spanning lease over 1-lane nodes: any steal is cross-node.
   auto P = fakePlacement({1, 1, 1}, 3);
   WorkerPool Pool(3, {}, P);
-  auto S = Pool.tryAcquireSessionFor(3, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(3, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 3u);
   S->pushChunk(0, 1);
   S->pushChunk(0, 2);
@@ -310,7 +323,8 @@ TEST(StealCounters, CrossNodeStealCountsAsRemote) {
 TEST(StealCounters, SameNodeStealCountsAsLocal) {
   auto P = fakePlacement({2, 2}, 4);
   WorkerPool Pool(4, {}, P);
-  auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 2u) << "node-packed: both lanes on one node";
   S->pushChunk(0, 1);
   uint32_t C = 0;
@@ -324,7 +338,8 @@ TEST(StealCounters, SameNodeStealCountsAsLocal) {
 
 TEST(StealCounters, TopologyBlindPoolCountsEveryStealLocal) {
   WorkerPool Pool(2);
-  auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   S->pushChunk(0, 1);
   uint32_t C = 0;
   bool Stolen = false;
@@ -333,81 +348,6 @@ TEST(StealCounters, TopologyBlindPoolCountsEveryStealLocal) {
   auto SC = S->takeStealCounters();
   EXPECT_EQ(SC.Local, 1u) << "one node: nothing is remote";
   EXPECT_EQ(SC.Remote, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// planGrants: the node-packing post-pass
-//===----------------------------------------------------------------------===//
-
-using Candidates = std::vector<Scheduler::Candidate>;
-
-TEST(PlanGrantsNodes, BestFitPicksTheTightestBlock) {
-  Candidates Q = {{2, 0, 0}};
-  std::vector<unsigned> Free = {4, 2};
-  auto Plan =
-      Scheduler::planGrants(Q, 6, LanePolicy::FirstCome, 0, &Free);
-  ASSERT_EQ(Plan.size(), 1u);
-  EXPECT_EQ(Plan[0].Lanes, 2u);
-  EXPECT_EQ(Plan[0].Node, 1) << "the 2-block fits tighter than the 4";
-}
-
-TEST(PlanGrantsNodes, GrantTrimmedToTheLargestBlock) {
-  Candidates Q = {{6, 0, 0}};
-  std::vector<unsigned> Free = {4, 2};
-  auto Plan =
-      Scheduler::planGrants(Q, 6, LanePolicy::FirstCome, 0, &Free);
-  ASSERT_GE(Plan.size(), 1u);
-  EXPECT_EQ(Plan[0].Lanes, 4u) << "2*4 >= 6: locality beats width";
-  EXPECT_EQ(Plan[0].Node, 0);
-}
-
-TEST(PlanGrantsNodes, UntrimmableGrantSpansFromTheLargestBlock) {
-  Candidates Q = {{6, 0, 0}};
-  std::vector<unsigned> Free = {2, 2, 2};
-  auto Plan =
-      Scheduler::planGrants(Q, 6, LanePolicy::FirstCome, 0, &Free);
-  ASSERT_EQ(Plan.size(), 1u);
-  EXPECT_EQ(Plan[0].Lanes, 6u) << "no half-covering block: keep width";
-  EXPECT_EQ(Plan[0].Node, 0) << "spans starting from the largest block";
-}
-
-TEST(PlanGrantsNodes, TrimFreedLanesReofferedToQueuedRequests) {
-  // First-come gives the head all 6 lanes; the node pass trims it to 4
-  // and the freed 2 lanes flow to the request the policy left queued.
-  Candidates Q = {{6, 0, 0}, {2, 0, 0}};
-  std::vector<unsigned> Free = {4, 2};
-  auto Plan =
-      Scheduler::planGrants(Q, 6, LanePolicy::FirstCome, 0, &Free);
-  ASSERT_EQ(Plan.size(), 2u);
-  EXPECT_EQ(Plan[0].Lanes, 4u);
-  EXPECT_EQ(Plan[0].Node, 0);
-  EXPECT_EQ(Plan[1].Index, 1u);
-  EXPECT_EQ(Plan[1].Lanes, 2u) << "packing must not idle usable lanes";
-  EXPECT_EQ(Plan[1].Node, 1);
-}
-
-TEST(PlanGrantsNodes, NullNodeVectorLeavesThePlanUntouched) {
-  Candidates Q = {{3, 0, 0}, {3, 0, 0}};
-  auto Blind = Scheduler::planGrants(Q, 4, LanePolicy::FairShare, 0);
-  auto Off =
-      Scheduler::planGrants(Q, 4, LanePolicy::FairShare, 0, nullptr);
-  ASSERT_EQ(Blind.size(), Off.size());
-  for (size_t I = 0; I != Blind.size(); ++I) {
-    EXPECT_EQ(Blind[I].Index, Off[I].Index);
-    EXPECT_EQ(Blind[I].Lanes, Off[I].Lanes);
-    EXPECT_EQ(Off[I].Node, -1);
-  }
-}
-
-TEST(PlanGrantsNodes, SingleNodeVectorIsEquivalentToBlind) {
-  Candidates Q = {{3, 0, 0}, {3, 0, 0}};
-  std::vector<unsigned> Free = {4};
-  auto Plan =
-      Scheduler::planGrants(Q, 4, LanePolicy::FairShare, 0, &Free);
-  auto Blind = Scheduler::planGrants(Q, 4, LanePolicy::FairShare, 0);
-  ASSERT_EQ(Plan.size(), Blind.size());
-  for (size_t I = 0; I != Plan.size(); ++I)
-    EXPECT_EQ(Plan[I].Lanes, Blind[I].Lanes);
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Scheduler.h"
 #include "core/WorkerPool.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +20,8 @@ using spice::core::detail::ChunkDeques;
 
 TEST(WorkerPool, RunsEveryLaneExactlyOnce) {
   WorkerPool Pool(4);
-  auto S = Pool.tryAcquireSessionFor(4, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(4, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 4u);
   std::vector<std::atomic<int>> Hits(4);
   S->launch([&](unsigned Lane) { Hits[Lane].fetch_add(1); });
@@ -30,9 +32,10 @@ TEST(WorkerPool, RunsEveryLaneExactlyOnce) {
 
 TEST(WorkerPool, PartialLeaseLeavesOthersParked) {
   WorkerPool Pool(4);
-  auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 2u);
-  EXPECT_EQ(Pool.freeWorkers(), 2u);
+  EXPECT_EQ(Sched.freeWorkers(), 2u);
   std::atomic<int> Runs{0};
   S->launch([&](unsigned Lane) {
     EXPECT_LT(Lane, 2u);
@@ -46,9 +49,10 @@ TEST(WorkerPool, ReusableAcrossManyLeases) {
   // Every round leases, launches, and releases: the released session is
   // recycled, so only the first round allocates one.
   WorkerPool Pool(3);
+  Scheduler Sched(Pool, RuntimeConfig{});
   std::atomic<uint64_t> Sum{0};
   for (int Round = 0; Round != 200; ++Round) {
-    auto S = Pool.tryAcquireSessionFor(3, true, std::this_thread::get_id());
+    auto S = Sched.tryAcquireSessionFor(3, true, std::this_thread::get_id());
     S->launch([&](unsigned Lane) { Sum.fetch_add(Lane + 1); });
     S->wait();
   }
@@ -59,7 +63,8 @@ TEST(WorkerPool, ReusableAcrossManyLeases) {
 
 TEST(WorkerPool, CallerRunsConcurrentlyWithWorkers) {
   WorkerPool Pool(1);
-  auto S = Pool.tryAcquireSessionFor(1, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(1, true, std::this_thread::get_id());
   std::atomic<bool> WorkerSawFlag{false};
   std::atomic<bool> Flag{false};
   S->launch([&](unsigned) {
@@ -78,7 +83,8 @@ TEST(WorkerPool, LaunchWakesOnlyTheLeasedWorkers) {
   // busy, the unleased worker stays parked, and a lane that has left its
   // job is no longer busy even though the session still leases it.
   WorkerPool Pool(3);
-  auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+  Scheduler Sched(Pool, RuntimeConfig{});
+  auto S = Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
   ASSERT_EQ(S->lanes(), 2u);
   EXPECT_EQ(Pool.busyWorkers(), 0u);
   std::atomic<bool> Release{false};
@@ -94,15 +100,16 @@ TEST(WorkerPool, LaunchWakesOnlyTheLeasedWorkers) {
   Release = true;
   S->wait();
   EXPECT_EQ(Pool.busyWorkers(), 0u);
-  EXPECT_EQ(Pool.freeWorkers(), 1u);
+  EXPECT_EQ(Sched.freeWorkers(), 1u);
 }
 
 TEST(WorkerPool, DestructionJoinsCleanly) {
   for (int I = 0; I != 20; ++I) {
     WorkerPool Pool(2);
+    Scheduler Sched(Pool, RuntimeConfig{});
     std::atomic<int> N{0};
     {
-      auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+      auto S = Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
       S->launch([&](unsigned) { N.fetch_add(1); });
       S->wait();
     }
@@ -135,7 +142,9 @@ TEST(WorkerPoolDeathTest, ReentrantSessionLaunchAborts) {
   EXPECT_DEATH(
       {
         WorkerPool Pool(2);
-        auto S = Pool.tryAcquireSessionFor(2, true, std::this_thread::get_id());
+        Scheduler Sched(Pool, RuntimeConfig{});
+        auto S =
+            Sched.tryAcquireSessionFor(2, true, std::this_thread::get_id());
         S->launch([](unsigned) {});
         S->launch([](unsigned) {}); // No wait(): must abort.
       },
